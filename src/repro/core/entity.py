@@ -373,6 +373,9 @@ class COEntity:
         self._batch_bytes = 0
         #: Sources heard from since this entity's last transmission.
         self._heard_from: Set[int] = set()
+        #: ``members - {self} - suspected``, the set the deferred rule waits
+        #: to hear from; rebuilt on demand after a suspicion or view change.
+        self._live_others: Optional[Set[int]] = None
         self._last_confirmed_req: Tuple[int, ...] = self.state.req_vector()
         self._last_confirmed_pack: Tuple[int, ...] = tuple(self._preack_floor)
         self._last_send_time: float = clock()
@@ -1460,13 +1463,14 @@ class COEntity:
         # name (e.g. its minPAL lags because OUR last heartbeat to it was
         # lost).  Rate-limited by the deferred window; the exchange
         # converges once both sides drain.
-        peer_stale = any(
-            h.ack[j] < self.state.req[j] or h.pack[j] < self._preack_floor[j]
-            for j in range(self.n)
-        )
-        if (
-            (peer_stale or h.probe)
-            and self.now - self._last_send_time >= self.config.deferred_interval
+        # The O(1) rate limit goes first: most heartbeats land inside the
+        # deferred window, and the staleness scan is O(n).
+        if self.now - self._last_send_time >= self.config.deferred_interval and (
+            h.probe
+            or any(
+                h.ack[j] < self.state.req[j] or h.pack[j] < self._preack_floor[j]
+                for j in range(self.n)
+            )
         ):
             # Only an explicit probe bypasses the nothing-new suppression:
             # the prober says it *lost* our last heartbeat, so repeat it.
@@ -1677,6 +1681,7 @@ class COEntity:
             # the dict cleanup, promoting it to eviction prematurely.
             self._suspect_since[j] = self.now
         self.suspected.add(j)
+        self._live_others = None
         self.state.set_excluded(j, True)
         self._heard_from.discard(j)
         self._trace.record(
@@ -1696,6 +1701,7 @@ class COEntity:
     def _unsuspect(self, j: int) -> None:
         """A suspected entity spoke: re-include it (it was merely slow)."""
         self.suspected.discard(j)
+        self._live_others = None
         self._suspect_since.pop(j, None)
         self.state.set_excluded(j, False)
         self._trace.record(self.now, "unsuspect", self.index, src=j)
@@ -1936,6 +1942,7 @@ class COEntity:
                 self.detector.forget(m, self.now)
             self._trace.record(self.now, "readmit", self.index, src=m)
         self.members = set(r.members)
+        self._live_others = None
         self.view = r.view_id
         self.view_log.append((r.view_id, tuple(sorted(r.members))))
         self._peer_view[self.index] = r.view_id
@@ -2111,6 +2118,7 @@ class COEntity:
         """
         self.view = s.view
         self.members = set(s.members)
+        self._live_others = None
         self.view_log.append((s.view, tuple(sorted(s.members))))
         self._peer_view[s.src] = max(self._peer_view[s.src], s.view)
         # Whoever the snapshot's member list omits was evicted while we
@@ -2162,8 +2170,12 @@ class COEntity:
         if self.config.confirmation is ConfirmationMode.IMMEDIATE:
             self._send_confirmation(force=False)
             return
-        live_others = self.members - {self.index} - self.suspected
-        if live_others and len(self._heard_from & live_others) >= len(live_others):
+        live_others = self._live_others
+        if live_others is None:
+            live_others = self._live_others = (
+                self.members - {self.index} - self.suspected
+            )
+        if live_others and self._heard_from >= live_others:
             self._send_confirmation(force=False)
 
     def _send_confirmation(self, force: bool, resend: bool = False, probe: bool = False) -> None:

@@ -26,3 +26,13 @@ class DeliveryOrderError(ReproError, AssertionError):
     Raised by :mod:`repro.ordering.checker` when asked to *assert* (rather
     than report) the paper's log properties.
     """
+
+
+class IncompleteRecordingError(ReproError, ValueError):
+    """A run was handed to the verification oracle on a bounded recorder
+    that had already shed records (``FlightRecorder.evicted > 0``).
+
+    What is missing would read as undelivered messages and broken causal
+    chains, so :func:`repro.ordering.checker.verify_run` refuses instead of
+    reporting them.
+    """

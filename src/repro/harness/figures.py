@@ -444,6 +444,100 @@ and fails (exit 1) when a tracked metric regresses beyond ``--threshold``
 delivered PDU must not rise, deliveries/sec must not fall.
 Re-baselining: run the full mode on a quiet machine and commit the new
 ``BENCH_hotpath.json`` together with the change that justifies the shift.
+
+## Run-to-completion datagram path (end-to-end bench, before/after)
+
+``benchmarks/e2e`` (``BENCHMARK.json``) is the claim baseline for the
+runtimes.  ISSUE 13 replaced the UDP runtime's receive/send plumbing with a
+run-to-completion path (DESIGN.md §15).  Parent = commit ``6fd10b4``;
+both sides measured with identical harness code,
+``python3 benchmarks/e2e/run.py --workload W --seed S --seconds 25
+--trace 0``, parent and change alternating which runs first, seeds 61–70
+(none used while the change was written), one 2-core host.  Cells are
+medians over the pairs; [q1–q3] are the parent's quartiles.
+
+```
+workload    metric                  parent [q1–q3]           change     change/parent  change better in
+udp_bulk    goodput_msgs_per_s      2322  [2204–2457]        3992       1.72           10/10 pairs
+udp_bulk    deliver_p50_ms          50.3  [47.1–54.4]        27.6       0.55           10/10
+udp_bulk    deliver_p95_ms          69.8  [63.4–72.8]        39.5       0.57           10/10
+udp_bulk    cpu_us_per_delivery     104.7 [100.2–111.5]      61.4       0.59           10/10
+udp_bulk    wire_frames_per_msg     5.42  [5.13–5.92]        3.50       0.65           10/10
+udp_bulk    peak_rss_mb             138.5 [134.0–145.9]      129.7      0.94           8/10
+udp_bulk    setup_s                 0.171 [0.161–0.202]      0.195      1.14           6/10   (unresolved: inside the parent's own spread)
+udp_steady  goodput_msgs_per_s      400.0                    400.0      1.00           offered rate, both
+udp_steady  deliver_p50_ms          2.23  [2.00–2.56]        1.78       0.80           5/5
+udp_steady  deliver_p95_ms          4.30  [3.05–4.80]        2.47       0.57           5/5
+udp_steady  cpu_us_per_delivery     436.8 [373.8–489.4]      326.9      0.75           5/5
+udp_steady  wire_frames_per_msg     23.58 [23.20–23.70]      23.66      1.00           protocol floor ~24
+udp_steady  peak_rss_mb             47.25                    47.18      1.00
+udp_lossy   goodput_msgs_per_s      399.7                    399.6      1.00           offered rate, both
+udp_lossy   deliver_p50_ms          4.81  [4.76–4.92]        4.48       0.93           5/5
+udp_lossy   deliver_p95_ms          11.77 [11.55–11.96]      10.83      0.92           5/5
+udp_lossy   cpu_us_per_delivery     290.0 [286.1–303.3]      262.6      0.91           5/5
+udp_lossy   wire_frames_per_msg     17.07 [16.92–17.11]      17.87      1.05           0/5    (worse, inside the 20 % bound)
+udp_lossy   peak_rss_mb             46.71                    47.18      1.01           0/5    (worse, inside the 25 % bound)
+sim_wide    deliver_p50_ms          139.4                    139.4      equal to the last digit, 3/3 seeds
+sim_wide    deliver_p95_ms          166.8                    166.8      equal to the last digit, 3/3 seeds
+sim_wide    wire_frames_per_msg     634.8                    634.8      equal to the last digit, 3/3 seeds
+sim_wide    cpu_us_per_delivery     599.6 [579.9–613.4]      518.3      0.86           3/3
+sim_wide    peak_rss_mb             83.72                    83.75      1.00
+```
+
+``failed`` = 0 in all 46 runs.  The ten ``udp_bulk`` pairs ran during one of
+the host's slow episodes (benchmarks/e2e/README.md describes them): a
+single pair at seed 51 an hour earlier gave 2 827 → 5 174 msg/s (1.83×),
+88 → 48 µs per delivery, 163 → 150 MiB.  The ratio, not the absolute
+rate, is what repeats.  ``udp_lossy``'s +5 % frames per message comes with
+the tick fix: ``sleep(interval)`` made the real period ``interval +
+lateness`` (7 385 engine ticks in a 5 s traced repeat), absolute deadlines
+make it the configured 2 ms (9 954), and RET / probe timers that fire on
+tick granularity fire ~10 % sooner — which is also where its latency gain
+comes from.  ``sim_wide`` imports nothing under ``runtime/``; its CPU gain
+is the two engine changes that rode along (``_on_heartbeat`` tests the O(1)
+rate limit before the O(n) staleness scan; ``_maybe_confirm`` caches
+``members − {self} − suspected``).
+
+The ``--trace 1`` ledger rows that paid for it (one traced 5 s repeat per
+cell, seed 61; shares are of process CPU time):
+
+```
+workload    row                              parent     change
+udp_bulk    loop.busy_share                  0.218      0.148
+udp_bulk    udp.busy_share                   0.102      0.076
+udp_bulk    entity.busy_share                0.352      0.410
+udp_bulk    entity.control_frames_per_msg    0.80       0.24
+udp_bulk    udp.datagrams_per_msg            5.40       3.73
+udp_bulk    udp.inbox_depth_max              1          32
+udp_bulk    host.tick_late_ms_p99            3.0        13.5   (2.5–3.3 over four traced repeats vs 6.3–13.5 over three)
+udp_bulk    ledger.coverage                  0.99       1.06
+udp_steady  loop.busy_share                  0.231      0.216
+udp_steady  udp.busy_share                   0.147      0.132
+udp_steady  entity.control_frames_per_msg    6.96       6.96
+udp_steady  udp.inbox_depth_max              1          11
+udp_steady  host.tick_late_ms_p99            1.35       0.89
+udp_lossy   loop.busy_share                  0.227      0.203
+udp_lossy   udp.busy_share                   0.132      0.123
+udp_lossy   entity.control_frames_per_msg    4.34       4.79
+udp_lossy   udp.inbox_depth_max              1          15
+udp_lossy   host.tick_late_ms_p99            2.08       0.96
+sim_wide    entity.busy_share                0.320      0.266
+sim_wide    entity.control_frames_per_msg    19.43      19.43
+sim_wide    loop / udp / host rows           0          0      (no socket, no asyncio)
+```
+
+The saving is where it was claimed: on ``udp_bulk`` the loop and udp shares
+fall by a third while 1.7× the messages pass, and three quarters of the
+heartbeats are gone because confirmations ride on data.  One row moved the
+wrong way and is reported as such: ``host.tick_late_ms_p99`` on
+``udp_bulk``.  With four members taking turns of up to 32 datagrams in one
+loop, a tick waits for a whole iteration (median 2.9 ms, p99 7.3 ms
+untraced), where the old path's iterations carried one datagram per member;
+the burst budget does not move it between 8 and 64 (DESIGN.md §15).  On the
+open-loop workloads, where the loop is mostly idle, deadline ticks are
+*less* late than sleeping ones.  ``trace.*`` rows are non-zero again with
+the bounded default recorder (``trace.records`` 2.6e5 on ``udp_bulk``):
+``FlightRecorder`` no longer overrides ``TraceLog.record``.
 """
 
 

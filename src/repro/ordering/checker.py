@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.core.errors import DeliveryOrderError
+from repro.core.errors import DeliveryOrderError, IncompleteRecordingError
 from repro.ordering.events import (
     MessageId,
     delivery_logs,
@@ -93,7 +93,19 @@ def verify_run(
     delivered is ordered correctly" — used for baselines that are *expected*
     to lose or reorder (unordered broadcast, PO under loss), where the point
     is counting the violations rather than failing.
+
+    A bounded recorder that shed records cannot be verified: the missing
+    head of the run would read as undelivered messages and broken causal
+    chains.  That is an incomplete recording, not a protocol defect, and
+    is reported as one.
     """
+    evicted = getattr(trace, "evicted", 0)
+    if evicted:
+        raise IncompleteRecordingError(
+            f"incomplete recording: the trace shed {evicted} records, so the "
+            "run cannot be verified — record into a TraceLog() or a larger "
+            "FlightRecorder"
+        )
     events = extract_events(trace)
     oracle = CausalOrderOracle(events, n)
     logs = delivery_logs(trace, n)

@@ -1,8 +1,10 @@
 """Asyncio hosts for the sans-I/O CO engine.
 
-One :class:`AsyncEntityHost` owns an engine, feeds it PDUs from the
-transport, drives its housekeeping tick on wall-clock time, and exposes the
-delivery stream.  :class:`AsyncCluster` assembles a whole group on one
+One :class:`AsyncEntityHost` owns an engine, hands its ``on_pdu`` to the
+transport as the plain-callable sink, drives the housekeeping tick from
+absolute ``loop.call_at`` deadlines, and exposes the delivery stream.  It
+owns no task and no coroutine: every entry into the engine is one
+synchronous call.  :class:`AsyncCluster` assembles a whole group on one
 event loop.
 
 Everything protocol-visible still happens inside the engine — the host is
@@ -19,7 +21,7 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.core.config import ProtocolConfig
 from repro.core.entity import COEntity, DeliveredMessage
 from repro.runtime.transport import LocalAsyncTransport
-from repro.sim.trace import TraceLog
+from repro.sim.trace import FlightRecorder, TraceLog
 
 
 def lazy_loop_clock() -> Callable[[], float]:
@@ -79,34 +81,39 @@ class AsyncEntityHost:
         )
         self.delivered: List[DeliveredMessage] = []
         self._delivery_listeners: List[Callable[[DeliveredMessage], None]] = []
-        self._tick_task: Optional["asyncio.Task"] = None
+        self._tick_handle: Optional[asyncio.TimerHandle] = None
+        self._tick_due = 0.0
         self._tick_interval = config.tick_interval
         self.gauge_every = gauge_every
         self._ticks = 0
-        transport.attach(index, self._on_pdu)
+        transport.attach(index, self.engine.on_pdu)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        self._tick_task = asyncio.ensure_future(self._tick_loop())
+        loop = asyncio.get_running_loop()
+        self._tick_due = loop.time() + self._tick_interval
+        self._tick_handle = loop.call_at(self._tick_due, self._on_tick, loop)
 
-    async def stop(self) -> None:
-        if self._tick_task is not None:
-            self._tick_task.cancel()
-            try:
-                await self._tick_task
-            except asyncio.CancelledError:
-                pass
-            self._tick_task = None
+    def stop(self) -> None:
+        if self._tick_handle is not None:
+            self._tick_handle.cancel()
+            self._tick_handle = None
 
-    async def _tick_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self._tick_interval)
-            self.engine.on_tick()
-            self._ticks += 1
-            if self.gauge_every and self._ticks % self.gauge_every == 0:
-                self.sample_gauges()
+    def _on_tick(self, loop: asyncio.AbstractEventLoop) -> None:
+        self.engine.on_tick()
+        self._ticks += 1
+        if self.gauge_every and self._ticks % self.gauge_every == 0:
+            self.sample_gauges()
+        # Absolute deadlines: a tick that ran late does not push the later
+        # ones back (sleeping ``interval`` after each tick adds the tick's
+        # lateness to the period, and under load costs a whole extra loop
+        # iteration per tick).  A host that fell more than a period behind
+        # ticks again at once but replays nothing further — the engine's
+        # timers read the clock, not a tick count.
+        self._tick_due = max(self._tick_due + self._tick_interval, loop.time())
+        self._tick_handle = loop.call_at(self._tick_due, self._on_tick, loop)
 
     # ------------------------------------------------------------------
     # Observability
@@ -161,9 +168,6 @@ class AsyncEntityHost:
     def _unicast(self, dst: int, pdu: Any) -> None:
         self.transport.unicast(self.index, dst, pdu)
 
-    async def _on_pdu(self, pdu: Any) -> None:
-        self.engine.on_pdu(pdu)
-
 
 class AsyncCluster:
     """A CO cluster on a real event loop.
@@ -196,7 +200,9 @@ class AsyncCluster:
         self.config = config or ProtocolConfig(
             tick_interval=2e-3, deferred_interval=4e-3, ret_timeout=10e-3,
         )
-        self.trace = trace if trace is not None else TraceLog()
+        # Bounded by default, like every wall-clock runtime: pass
+        # ``TraceLog()`` for a complete log (see UdpMember).
+        self.trace = trace if trace is not None else FlightRecorder()
         self.transport = LocalAsyncTransport(
             n, loss_rate=loss_rate, delay=delay, seed=seed,
         )
@@ -227,7 +233,7 @@ class AsyncCluster:
 
     async def stop(self) -> None:
         for host in self.hosts:
-            await host.stop()
+            host.stop()
         await self.transport.stop()
 
     # ------------------------------------------------------------------

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import asyncio
 import random
-from typing import Any, Awaitable, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List
 
-Sink = Callable[[Any], Awaitable[None]]
+#: A member's receive path: a plain callable the transport invokes with one
+#: decoded PDU, which runs the engine to completion before it returns.
+Sink = Callable[[Any], None]
 
 
 class LocalAsyncTransport:
@@ -47,7 +49,7 @@ class LocalAsyncTransport:
     # Wiring
     # ------------------------------------------------------------------
     def attach(self, index: int, sink: Sink) -> None:
-        """Register member ``index``'s async receive path."""
+        """Register member ``index``'s receive path."""
         if index in self._sinks:
             raise ValueError(f"member {index} already attached")
         self._sinks[index] = sink
@@ -98,7 +100,7 @@ class LocalAsyncTransport:
             pdu = await queue.get()
             if self.delay:
                 await asyncio.sleep(self.delay)
-            await sink(pdu)
+            sink(pdu)
 
     @property
     def idle(self) -> bool:

@@ -10,6 +10,17 @@ UDP gives exactly the MC failure model for free: datagrams can be dropped
 (full socket buffers) and the protocol's own sequence numbers detect and
 repair it.  An extra ``loss_rate`` can inject drops for testing.
 
+The datagram path runs to completion.  The socket is non-blocking and
+registered with ``loop.add_reader``; one readable callback moves a bounded
+burst of datagrams (:data:`RECV_BURST`) into the inbox, then pops, decodes
+and hands each to the engine synchronously until the inbox is empty — no
+event, no dispatch task, no coroutine per PDU.  A member therefore folds
+everything its peers sent since its last turn before it speaks, so its
+confirmations ride on its next data PDU instead of going out as one
+heartbeat per datagram.  Sends are direct ``sendto`` calls; a full kernel
+send buffer (``EAGAIN``/``ENOBUFS``) is one more dropped datagram, never
+an exception inside the engine.
+
 The inbox between the socket and the engine is a bounded
 :class:`~repro.net.buffers.ReceiveBuffer` — the paper's §2.1 receive
 buffer, not an unbounded queue.  A datagram arriving when the inbox is
@@ -28,8 +39,10 @@ Usage::
 from __future__ import annotations
 
 import asyncio
+import errno
 import random
-from typing import Any, Awaitable, Callable, List, Optional, Sequence, Tuple
+import socket
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.core.codec import decode_pdu_safe, encode_pdu_view, split_batch
 from repro.core.pdu import BatchPdu
@@ -37,26 +50,28 @@ from repro.core.config import ProtocolConfig
 from repro.core.entity import COEntity, DeliveredMessage
 from repro.net.buffers import ReceiveBuffer
 from repro.runtime.host import AsyncEntityHost, lazy_loop_clock
-from repro.sim.trace import TraceLog
+from repro.runtime.transport import Sink
+from repro.sim.trace import FlightRecorder, TraceLog
 
 Address = Tuple[str, int]
-Sink = Callable[[Any], Awaitable[None]]
+
+#: Datagrams one readable callback moves from the socket into the inbox
+#: before it runs the engine over them.  Everything a callback admits is
+#: processed before the loop gets control back, so this bounds one member's
+#: turn: at the measured ~50 us per datagram (decode, ``on_pdu`` and the
+#: sends it triggers) 32 datagrams is ~1.6 ms, under the 2 ms tick interval
+#: of the wall-clock configs.  Goodput is flat from 12 to 48 and falls
+#: below that, where a member speaks before it has heard a round of its
+#: peers' flow windows (measurements in DESIGN.md §15).
+RECV_BURST = 32
+
+#: Larger than any UDP payload, so ``recv`` never truncates a datagram.
+_MAX_DATAGRAM = 65536
 
 
 def _parse(address: str) -> Address:
     host, _, port = address.rpartition(":")
     return (host or "127.0.0.1", int(port))
-
-
-class _Protocol(asyncio.DatagramProtocol):
-    def __init__(self, transport_owner: "UdpTransport"):
-        self._owner = transport_owner
-
-    def datagram_received(self, data: bytes, addr: Address) -> None:
-        self._owner._on_datagram(data)
-
-    def error_received(self, exc: Exception) -> None:  # pragma: no cover
-        self._owner.errors += 1
 
 
 class UdpTransport:
@@ -94,8 +109,7 @@ class UdpTransport:
         self.frames_split = 0
         self._rng = random.Random(seed)
         self._sink: Optional[Sink] = None
-        self._udp: Optional[asyncio.transports.DatagramTransport] = None
-        self._dispatch: Optional["asyncio.Task"] = None
+        self._sock: Optional[socket.socket] = None
         #: Bounded receive buffer between the socket and the engine — the
         #: §2.1 model made literal.  Frames arriving when it is full are
         #: overruns (counted in ``inbox.stats``), exactly the loss the
@@ -103,12 +117,16 @@ class UdpTransport:
         self.inbox = ReceiveBuffer(
             capacity_units=inbox_capacity_units, units_per_pdu=units_per_pdu,
         )
-        self._inbox_ready = asyncio.Event()
         #: Called (with no arguments) on every inbox overrun; the member
         #: wires this to a ``drop`` trace record.
         self.on_overrun: Optional[Callable[[], None]] = None
         self.datagrams_sent = 0
+        #: Datagrams counted as sent that never reached the wire: injected
+        #: loss plus the ones the kernel refused (``send_blocked``).
         self.datagrams_dropped = 0
+        #: Datagrams the kernel refused because the socket's send buffer
+        #: was full (``EAGAIN``/``ENOBUFS``) — sender-side overrun.
+        self.send_blocked = 0
         self.decode_errors = 0
         #: Frames rejected by the codec, broken down by cause (the CRC
         #: trailer rejects corrupted datagrams before they reach the engine).
@@ -126,6 +144,7 @@ class UdpTransport:
         return {
             "datagrams_sent": self.datagrams_sent,
             "datagrams_dropped": self.datagrams_dropped,
+            "send_blocked": self.send_blocked,
             "decode_errors": self.decode_errors,
             "socket_errors": self.errors,
             "frames_split": self.frames_split,
@@ -147,23 +166,27 @@ class UdpTransport:
     async def start(self) -> None:
         if self._sink is None:
             raise RuntimeError("attach a sink before starting")
-        loop = asyncio.get_event_loop()
-        self._udp, _ = await loop.create_datagram_endpoint(
-            lambda: _Protocol(self), local_addr=self.addresses[self.index],
-        )
-        self._dispatch = asyncio.ensure_future(self._dispatch_loop())
+        address = self.addresses[self.index]
+        # The bind address picks the family, so an IPv6 peer list works.
+        family = socket.getaddrinfo(*address, type=socket.SOCK_DGRAM)[0][0]
+        sock = socket.socket(family, socket.SOCK_DGRAM)
+        try:
+            sock.setblocking(False)
+            sock.bind(address)
+        except OSError:
+            sock.close()
+            raise
+        self._sock = sock
+        asyncio.get_running_loop().add_reader(sock, self._on_readable)
 
     async def stop(self) -> None:
-        if self._dispatch is not None:
-            self._dispatch.cancel()
-            try:
-                await self._dispatch
-            except asyncio.CancelledError:
-                pass
-            self._dispatch = None
-        if self._udp is not None:
-            self._udp.close()
-            self._udp = None
+        """Unregister the reader, then close the socket (in that order: a
+        closed descriptor cannot be removed from the selector).  Safe to
+        call twice, or without a successful :meth:`start`."""
+        sock, self._sock = self._sock, None
+        if sock is not None:
+            asyncio.get_running_loop().remove_reader(sock)
+            sock.close()
 
     def broadcast(self, src: int, pdu: Any) -> None:
         """Encode once, unicast to every peer.
@@ -181,18 +204,12 @@ class UdpTransport:
         for chunk in chunks:
             # Encode each chunk once into the codec's scratch buffer and
             # fan the view out to every peer — sendto copies the buffer
-            # synchronously (immediately on the fast path, via bytes() when
-            # the socket would block), so the view never outlives the
-            # scratch contents.
+            # into the kernel synchronously, so the view never outlives
+            # the scratch contents.
             payload = encode_pdu_view(chunk)
             for dst, address in enumerate(self.addresses):
-                if dst == src:
-                    continue
-                self.datagrams_sent += 1
-                if self.loss_rate and self._rng.random() < self.loss_rate:
-                    self.datagrams_dropped += 1
-                    continue
-                self._udp.sendto(payload, address)
+                if dst != src:
+                    self._sendto(payload, address)
 
     def unicast(self, src: int, dst: int, pdu: Any) -> None:
         """Encode and send one PDU to a single peer (dissemination
@@ -210,16 +227,50 @@ class UdpTransport:
                 f"unicast destination {dst} outside peer list of "
                 f"{len(self.addresses)}"
             )
-        payload = encode_pdu_view(pdu)
+        self._sendto(encode_pdu_view(pdu), self.addresses[dst])
+
+    def _sendto(self, payload: Any, address: Address) -> None:
+        """Hand one datagram to the kernel; a datagram it will not take is
+        lost like any other (the engine must never see a socket error)."""
         self.datagrams_sent += 1
         if self.loss_rate and self._rng.random() < self.loss_rate:
             self.datagrams_dropped += 1
             return
-        self._udp.sendto(payload, self.addresses[dst])
+        try:
+            self._sock.sendto(payload, address)
+        except OSError as exc:
+            if isinstance(exc, BlockingIOError) or exc.errno == errno.ENOBUFS:
+                self.send_blocked += 1
+                self.datagrams_dropped += 1
+            else:
+                self.errors += 1
 
     # ------------------------------------------------------------------
     # Receive path
     # ------------------------------------------------------------------
+    def _on_readable(self) -> None:
+        """The socket has datagrams: admit a bounded burst to the inbox,
+        then run the engine over the inbox until it is empty."""
+        sock = self._sock
+        for _ in range(RECV_BURST):
+            try:
+                data = sock.recv(_MAX_DATAGRAM)
+            except (BlockingIOError, InterruptedError):
+                break
+            except OSError:
+                self.errors += 1
+                break
+            self._on_datagram(data)
+        inbox = self.inbox
+        while not inbox.empty:
+            # The engine speaks from inside the sink, so the BUF it
+            # advertises there is the inbox's occupancy mid-burst.
+            pdu = decode_pdu_safe(inbox.pop(), self.codec_counters)
+            if pdu is None:
+                self.decode_errors += 1
+                continue
+            self._sink(pdu)
+
     def _on_datagram(self, data: bytes) -> None:
         if not self.inbox.offer(data):
             # Buffer overrun: the datagram is gone, exactly as in §2.1.
@@ -227,22 +278,6 @@ class UdpTransport:
             # the RET path repairs it.
             if self.on_overrun is not None:
                 self.on_overrun()
-            return
-        self._inbox_ready.set()
-
-    async def _dispatch_loop(self) -> None:
-        while True:
-            await self._inbox_ready.wait()
-            self._inbox_ready.clear()
-            # Drain everything queued; a datagram landing mid-drain re-sets
-            # the event, so the outer loop immediately comes back around.
-            while not self.inbox.empty:
-                data = self.inbox.pop()
-                pdu = decode_pdu_safe(data, self.codec_counters)
-                if pdu is None:
-                    self.decode_errors += 1
-                    continue
-                await self._sink(pdu)
 
 
 class UdpMember:
@@ -263,7 +298,10 @@ class UdpMember:
             tick_interval=2e-3, deferred_interval=4e-3, ret_timeout=10e-3,
         )
         self.index = index
-        self.trace = trace if trace is not None else TraceLog()
+        # A wall-clock run has no natural end, so the default trace is the
+        # bounded recorder; pass ``TraceLog()`` to keep every record (the
+        # happened-before oracle needs the complete log).
+        self.trace = trace if trace is not None else FlightRecorder()
         self.transport = UdpTransport(
             index, peers, loss_rate=loss_rate, seed=seed + index,
             inbox_capacity_units=inbox_capacity_units,
@@ -308,7 +346,7 @@ class UdpMember:
         self.host.start()
 
     async def stop(self) -> None:
-        await self.host.stop()
+        self.host.stop()
         await self.transport.stop()
 
     def broadcast(self, data: Any, size: int = 0) -> None:
@@ -327,19 +365,28 @@ async def udp_cluster(
 ) -> List[UdpMember]:
     """Assemble and start a loopback UDP cluster.
 
-    With ``shared_trace`` all members log into one TraceLog so the
-    happened-before oracle can verify the run (only meaningful when all
-    members live in one process, as in the tests).
+    With ``shared_trace`` all members log into one bounded
+    :class:`~repro.sim.trace.FlightRecorder`, so the happened-before oracle
+    can verify the run as long as nothing was evicted from it (only
+    meaningful when all members live in one process, as in the tests).
     """
     peers = [f"127.0.0.1:{base_port + i}" for i in range(n)]
-    trace = TraceLog() if shared_trace else None
+    trace = FlightRecorder() if shared_trace else None
     members = [
         UdpMember(i, peers, config=config, loss_rate=loss_rate, seed=seed,
-                  trace=trace if shared_trace else None,
+                  trace=trace,
                   inbox_capacity_units=inbox_capacity_units,
                   max_frame_bytes=max_frame_bytes)
         for i in range(n)
     ]
-    for member in members:
-        await member.start()
+    try:
+        for member in members:
+            await member.start()
+    except BaseException:
+        # A later member's bind failed: the earlier ones hold sockets and
+        # tick timers nobody else has a handle to (stop() is a no-op on
+        # the members that never started).
+        for member in members:
+            await member.stop()
+        raise
     return members

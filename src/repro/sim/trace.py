@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 #: Vocabulary of record categories emitted by the engines in this repository.
 CATEGORIES = (
@@ -214,6 +214,22 @@ def load_jsonl(path: str) -> Tuple["TraceLog", Dict[str, Any]]:
     return log, meta
 
 
+class _Ring(deque):
+    """A ``deque(maxlen=capacity)`` that counts what it was offered and
+    what the bound pushed out."""
+
+    def __init__(self, capacity: int):
+        super().__init__(maxlen=capacity)
+        self.offered = 0
+        self.shed = 0
+
+    def append(self, record: TraceRecord) -> None:
+        self.offered += 1
+        if len(self) == self.maxlen:
+            self.shed += 1
+        super().append(record)
+
+
 class FlightRecorder(TraceLog):
     """A :class:`TraceLog` with a hard memory bound: a ring of the most
     recent ``capacity`` records.
@@ -224,7 +240,9 @@ class FlightRecorder(TraceLog):
     contains whatever just went wrong — and counts what it shed
     (``evicted``) so a truncated recording is never mistaken for a short
     run.  Drop-in everywhere a ``TraceLog`` goes: engines, clusters,
-    runtimes and harnesses record into it unchanged.
+    runtimes and harnesses record into it unchanged — through
+    :meth:`TraceLog.record` itself (the bound lives in the ring the records
+    go into), so whatever instruments that one method sees every record.
     """
 
     def __init__(self, capacity: int = 100_000, enabled: bool = True):
@@ -232,24 +250,17 @@ class FlightRecorder(TraceLog):
             raise ValueError(f"capacity must be positive, got {capacity}")
         super().__init__(enabled)
         self.capacity = capacity
-        self._records: Deque[TraceRecord] = deque(maxlen=capacity)  # type: ignore[assignment]
-        #: Every record ever offered, including the ones the ring shed.
-        self.recorded_total = 0
-        #: Records pushed out by the ring bound.
-        self.evicted = 0
+        self._records: _Ring = _Ring(capacity)  # type: ignore[assignment]
 
-    def record(self, time: float, category: str, entity: int, **details: Any) -> None:
-        if not self.enabled:
-            return
-        self.recorded_total += 1
-        if len(self._records) == self.capacity:
-            self.evicted += 1
-        self._records.append(TraceRecord(time, category, entity, details))
+    @property
+    def recorded_total(self) -> int:
+        """Every record ever offered, including the ones the ring shed."""
+        return self._records.offered
 
-    def __getitem__(self, index: int) -> TraceRecord:
-        # deque indexing is O(n) but supports the TraceLog contract; the
-        # run helpers that index scan forward anyway.
-        return self._records[index]
+    @property
+    def evicted(self) -> int:
+        """Records pushed out by the ring bound."""
+        return self._records.shed
 
     def meta(self) -> Dict[str, Any]:
         return {

@@ -6,6 +6,7 @@ timings.  The shared trace still feeds the happened-before oracle.
 """
 
 import asyncio
+import time
 
 import pytest
 
@@ -108,6 +109,34 @@ class TestAsyncCluster:
             AsyncCluster(n=1)
 
 
+class TestHostTick:
+    def test_ticks_keep_their_period_skip_a_stall_and_stop(self):
+        async def scenario():
+            cluster = AsyncCluster(n=2, seed=7)
+            interval = cluster.config.tick_interval
+            host = cluster.hosts[0]
+            await cluster.start()
+            try:
+                await asyncio.sleep(25 * interval)
+                assert host._ticks >= 10  # late ticks allowed, lost ones not
+                # Stall the loop for 25 periods: the host must not replay
+                # them, only tick once late and once more to catch up.
+                before = host._ticks
+                time.sleep(25 * interval)
+                resumed_at = time.monotonic()
+                await asyncio.sleep(2 * interval)
+                after_stall = host._ticks - before
+                allowed = 2 + (time.monotonic() - resumed_at) / interval
+                assert 1 <= after_stall <= allowed, (after_stall, allowed)
+            finally:
+                await cluster.stop()
+            stopped = host._ticks
+            await asyncio.sleep(5 * interval)
+            return host._ticks - stopped
+
+        assert run(scenario()) == 0
+
+
 class TestDisseminationOverAsyncio:
     """The §16 relay topologies on a real event loop.
 
@@ -170,11 +199,7 @@ class TestLocalAsyncTransport:
     def test_unattached_member_rejected_at_start(self):
         async def scenario():
             transport = LocalAsyncTransport(2)
-
-            async def sink(pdu):
-                pass
-
-            transport.attach(0, sink)
+            transport.attach(0, lambda pdu: None)
             with pytest.raises(RuntimeError):
                 await transport.start()
 
@@ -182,27 +207,16 @@ class TestLocalAsyncTransport:
 
     def test_duplicate_attach_rejected(self):
         transport = LocalAsyncTransport(2)
-
-        async def sink(pdu):
-            pass
-
-        transport.attach(0, sink)
+        transport.attach(0, lambda pdu: None)
         with pytest.raises(ValueError):
-            transport.attach(0, sink)
+            transport.attach(0, lambda pdu: None)
 
     def test_fifo_per_pair(self):
         async def scenario():
             transport = LocalAsyncTransport(2)
             received = []
-
-            async def sink(pdu):
-                received.append(pdu)
-
-            async def drop(pdu):
-                pass
-
-            transport.attach(0, drop)
-            transport.attach(1, sink)
+            transport.attach(0, lambda pdu: None)
+            transport.attach(1, received.append)
             await transport.start()
             for k in range(50):
                 transport.broadcast(0, k)

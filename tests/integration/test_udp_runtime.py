@@ -6,13 +6,16 @@ own port range so parallel pytest workers cannot collide.
 """
 
 import asyncio
+import errno
+import socket
 import time
 
 import pytest
 
 from repro.ordering.checker import verify_run
-from repro.runtime.host import lazy_loop_clock
-from repro.runtime.udp import UdpMember, UdpTransport, udp_cluster
+from repro.runtime.host import AsyncCluster, lazy_loop_clock
+from repro.runtime.udp import RECV_BURST, UdpMember, UdpTransport, udp_cluster
+from repro.sim.trace import FlightRecorder, TraceLog
 
 
 def run(coroutine):
@@ -162,30 +165,25 @@ class TestUdpCluster:
 
 class TestBoundedInbox:
     def test_overrun_then_selective_retransmission_recovers(self):
-        """A member with a tiny inbox and a slow consumer must drop frames
-        (counted overruns, the §2.1 failure model) yet still converge: the
-        engines' gap detection and RET machinery repair every loss."""
+        """A burst larger than the inbox, already queued on the socket when
+        the member's readable callback runs, must drop frames (counted
+        overruns, the §2.1 failure model) yet still converge: the engines'
+        gap detection and RET machinery repair every loss."""
+        # capacity 12 with n=3 keeps the §4.2 window positive
+        # (12 // (1*2*3) = 2) once BUF is known.
+        capacity = 12
+        assert RECV_BURST > capacity  # one callback must admit past the bound
 
         async def scenario():
-            # capacity 12 with n=3 keeps the §4.2 window positive
-            # (12 // (1*2*3) = 2) while being easy to overflow.
             members = await udp_cluster(
-                3, base_port=19950, seed=6, inbox_capacity_units=12,
+                3, base_port=19950, seed=6, inbox_capacity_units=capacity,
             )
-            victim = members[2]
-            original_sink = victim.transport._sink
-            stalled = 40
-
-            async def slow_sink(pdu):
-                nonlocal stalled
-                if stalled > 0:
-                    stalled -= 1
-                    await asyncio.sleep(0.003)
-                await original_sink(pdu)
-
-            victim.transport._sink = slow_sink
             try:
-                for k in range(10):
+                # No await between the submits: members 0 and 1 each put 8
+                # data PDUs on the wire at once (the cold-start window is
+                # W=8 until a BUF is heard), so 16 datagrams sit on member
+                # 2's socket before the loop next polls it.
+                for k in range(16):
                     members[k % 2].broadcast(f"burst-{k}".encode())
                 await quiesce(members, timeout=30.0)
             finally:
@@ -193,11 +191,11 @@ class TestBoundedInbox:
             return members
 
         members = run(scenario())
-        assert members[2].buffer_overruns > 0
-        assert members[2].counters()["buffer"]["overruns"] > 0
+        assert members[2].buffer_overruns >= 16 - capacity
+        assert members[2].counters()["buffer"]["overruns"] >= 16 - capacity
         # Every overrun-dropped PDU was repaired: full delivery everywhere.
         for member in members:
-            assert len(member.delivered) == 10
+            assert len(member.delivered) == 16
         assert members[2].trace.count("drop", entity=2) > 0
         verify_run(members[0].trace, 3).assert_ok()
 
@@ -207,6 +205,147 @@ class TestBoundedInbox:
         assert member.engine._advertised_buf() == inbox.free_units
         inbox.offer(b"frame")
         assert member.engine._advertised_buf() == inbox.free_units
+
+
+class TestRunToCompletion:
+    """The datagram path: burst-drain on readable, engine called
+    synchronously, direct sends that never raise into the engine."""
+
+    def test_one_callback_drains_a_burst_and_buf_tracks_occupancy(self):
+        async def scenario():
+            members = await udp_cluster(2, base_port=20010, seed=7)
+            receiver = members[1]
+            engine_sink = receiver.transport._sink
+            seen = []
+
+            def probe(pdu):
+                inbox = receiver.transport.inbox
+                seen.append((len(inbox), receiver.engine._advertised_buf(),
+                             inbox.free_units))
+                engine_sink(pdu)
+
+            receiver.transport._sink = probe
+            try:
+                # Five data PDUs queued on the receiver's socket before the
+                # loop polls it again.
+                for k in range(5):
+                    members[0].broadcast(f"q{k}".encode())
+                await quiesce(members)
+            finally:
+                await stop_all(members)
+            return members, seen
+
+        members, seen = run(scenario())
+        assert len(members[1].delivered) == 5
+        # The first PDU reached the engine with the other four already in
+        # the inbox: one readable callback admitted all five.
+        depths = [depth for depth, _, _ in seen[:5]]
+        assert depths == [4, 3, 2, 1, 0]
+        # ...and what the engine would advertise as BUF at that moment is
+        # the inbox's real headroom, not its empty size.
+        capacity = members[1].transport.inbox.capacity_units
+        assert [buf for _, buf, _ in seen[:5]] == [capacity - d for d in depths]
+        assert all(buf == free for _, buf, free in seen)
+
+    def test_no_task_per_transport_or_host(self):
+        async def scenario():
+            before = asyncio.all_tasks()
+            members = await udp_cluster(3, base_port=20020, seed=8)
+            try:
+                return asyncio.all_tasks() - before
+            finally:
+                await stop_all(members)
+
+        assert run(scenario()) == set()
+
+    @pytest.mark.parametrize("error", [
+        BlockingIOError(errno.EAGAIN, "send buffer full"),
+        OSError(errno.ENOBUFS, "no buffer space"),
+    ])
+    def test_refused_send_is_a_counted_drop_not_an_exception(self, error):
+        class FullSocket:
+            def sendto(self, payload, address):
+                raise error
+
+        member = UdpMember(0, ["127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3"])
+        member.transport._sock = FullSocket()
+        member.broadcast(b"into a full socket")  # must not raise
+        counters = member.counters()["transport"]
+        assert counters["datagrams_sent"] == 2
+        assert counters["send_blocked"] == 2
+        assert counters["datagrams_dropped"] == 2
+        assert counters["socket_errors"] == 0
+
+    def test_other_socket_errors_are_counted_too(self):
+        class BrokenSocket:
+            def sendto(self, payload, address):
+                raise OSError(errno.ENETUNREACH, "network unreachable")
+
+        member = UdpMember(0, ["127.0.0.1:1", "127.0.0.1:2"])
+        member.transport._sock = BrokenSocket()
+        member.broadcast(b"nowhere")
+        counters = member.counters()["transport"]
+        assert counters["socket_errors"] == 1
+        assert counters["send_blocked"] == 0
+
+    def test_stop_unregisters_the_reader_and_is_idempotent(self):
+        async def scenario():
+            transport = UdpTransport(index=0, peers=["127.0.0.1:20040",
+                                                     "127.0.0.1:20041"])
+            transport.attach(0, lambda pdu: None)
+            await transport.stop()  # never started: nothing to do
+            await transport.start()
+            fd = transport._sock.fileno()
+            await transport.stop()
+            await transport.stop()
+            # Nothing left registered for the descriptor.
+            return asyncio.get_running_loop().remove_reader(fd)
+
+        assert run(scenario()) is False
+
+    def test_bind_failure_releases_the_members_already_started(self):
+        async def scenario():
+            base = 20050
+            squatter = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            squatter.bind(("127.0.0.1", base + 2))
+            try:
+                with pytest.raises(OSError):
+                    await udp_cluster(3, base_port=base, seed=9)
+                # Members 0 and 1 had bound before member 2 failed: their
+                # ports must be free again.
+                for port in (base, base + 1):
+                    probe = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+                    try:
+                        probe.bind(("127.0.0.1", port))
+                    finally:
+                        probe.close()
+            finally:
+                squatter.close()
+
+        run(scenario())
+
+
+class TestDefaultTrace:
+    def test_default_trace_is_bounded(self):
+        member = UdpMember(0, ["127.0.0.1:1", "127.0.0.1:2"])
+        assert isinstance(member.trace, FlightRecorder)
+        assert isinstance(AsyncCluster(n=2).trace, FlightRecorder)
+
+    def test_explicit_tracelog_is_kept_complete(self):
+        full = TraceLog()
+        assert UdpMember(0, ["127.0.0.1:1", "127.0.0.1:2"], trace=full).trace is full
+        assert AsyncCluster(n=2, trace=full).trace is full
+        assert not isinstance(full, FlightRecorder)
+
+    def test_udp_cluster_shares_one_bounded_recorder(self):
+        async def scenario():
+            members = await udp_cluster(2, base_port=20030, seed=10)
+            await stop_all(members)
+            return members
+
+        members = run(scenario())
+        assert isinstance(members[0].trace, FlightRecorder)
+        assert members[0].trace is members[1].trace
 
 
 class TestLazyClock:
@@ -244,9 +383,5 @@ class TestUdpTransportValidation:
 
     def test_attach_own_index_only(self):
         transport = UdpTransport(index=0, peers=["127.0.0.1:1", "127.0.0.1:2"])
-
-        async def sink(pdu):
-            pass
-
         with pytest.raises(ValueError):
-            transport.attach(1, sink)
+            transport.attach(1, lambda pdu: None)

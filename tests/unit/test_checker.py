@@ -6,9 +6,9 @@ The checker guards every integration test, so it gets direct tests: it must
 
 import pytest
 
-from repro.core.errors import DeliveryOrderError
+from repro.core.errors import DeliveryOrderError, IncompleteRecordingError
 from repro.ordering.checker import count_causal_anomalies, verify_run
-from repro.sim.trace import TraceLog
+from repro.sim.trace import FlightRecorder, TraceLog
 
 
 def clean_trace():
@@ -91,6 +91,28 @@ def test_fifo_violation_detected():
     assert report.local_order[1]
     # Same-source inversion is both a FIFO and a causality violation.
     assert report.causality[1]
+
+
+def test_recorder_that_shed_records_is_refused_not_misreported():
+    """A ring that lost the head of the run would read as missing deliveries
+    and broken causal chains; the oracle must name the real problem."""
+    full = clean_trace()
+    ring = FlightRecorder(capacity=len(full) - 1)
+    for rec in full:
+        ring.record(rec.time, rec.category, rec.entity, **rec.details)
+    assert ring.evicted == 1
+    with pytest.raises(IncompleteRecordingError, match="incomplete recording"):
+        verify_run(ring, 2)
+    with pytest.raises(IncompleteRecordingError):
+        verify_run(ring, 2, expect_all_delivered=False)
+
+
+def test_recorder_that_kept_everything_is_verified_normally():
+    full = clean_trace()
+    ring = FlightRecorder(capacity=len(full))
+    for rec in full:
+        ring.record(rec.time, rec.category, rec.entity, **rec.details)
+    assert verify_run(ring, 2).ok
 
 
 def test_summary_format():

@@ -45,6 +45,12 @@ class TestFlightRecorder:
         assert [rec.get("seq") for rec in recorder] == [7, 8, 9, 10, 11]
         assert recorder[0].get("seq") == 7  # deque __getitem__ still works
 
+    def test_records_go_through_tracelog_record(self):
+        """An instrument wrapped around ``TraceLog.record`` (the e2e
+        harness's ``trace.*`` ledger rows) must see the bounded recorder's
+        records too: the bound lives in the ring, not in an override."""
+        assert FlightRecorder.record is TraceLog.record
+
     def test_meta_reports_the_bound(self):
         recorder = FlightRecorder(capacity=3)
         recorder.record(0.0, "accept", 0)
