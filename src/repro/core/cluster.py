@@ -16,7 +16,6 @@ entity on a network SAP.  Here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -28,7 +27,7 @@ from repro.net.delay import DelayModel
 from repro.net.loss import DuplicatingChannel, LossModel
 from repro.net.network import MCNetwork
 from repro.net.topology import Topology
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Simulator, sim_clock
 from repro.sim.process import SimProcess
 from repro.sim.rng import RngRegistry
 from repro.sim.timers import PeriodicTimer
@@ -271,8 +270,6 @@ class EntityHost(SimProcess):
             self.record("drop", reason="crashed",
                         src=getattr(pdu, "src", None), seq=getattr(pdu, "seq", None))
             return
-        self.record("arrive", kind=type(pdu).__name__,
-                    src=getattr(pdu, "src", None), seq=getattr(pdu, "seq", None))
         if not self.buffer.offer(pdu):
             self.record("drop", reason="overrun",
                         src=getattr(pdu, "src", None), seq=getattr(pdu, "seq", None))
@@ -287,7 +284,8 @@ class EntityHost(SimProcess):
         self.busy_time += service
         if not getattr(pdu, "is_control", False):
             self.data_busy_time += service
-        self.schedule(service, self._complete, pdu)
+        sim = self.sim
+        sim.schedule_at(sim.now + service, self._complete, pdu)
 
     def _complete(self, pdu: Any) -> None:
         if self._crashed:
@@ -445,7 +443,7 @@ class Cluster:
             index=index,
             n=self.n,
             config=self.config,
-            clock=lambda: self.sim.now,
+            clock=sim_clock(self.sim),
             trace=self.trace,
             advertised_buf=buffer_free_fn(host.buffer),
             joining=True,
@@ -500,28 +498,21 @@ class Cluster:
         # Periodic anti-entropy digests are keepalives with a payload: a
         # drained cluster keeps exchanging them forever, so they cannot
         # count as progress either — the pulls/deltas they *trigger* do.
-        ignored = frozenset({"heartbeat", "broadcast", "arrive", "drop", "gauge", "digest"})
+        ignored = frozenset({"heartbeat", "broadcast", "drop", "gauge", "digest"})
         # A bounded FlightRecorder sheds old records, so progress is judged
         # on the *tail*: recorded_total tracks every record ever offered.
-        def total() -> int:
-            return getattr(self.trace, "recorded_total", None) or len(self.trace)
-
-        cursor = total()
+        trace = self.trace
+        cursor = trace.recorded_total
         quiet_streak = 0
         while self.sim.now < max_time:
             self.sim.run(until=min(self.sim.now + chunk, max_time))
-            fresh = total() - cursor
+            fresh = trace.recorded_total - cursor
             cursor += fresh
-            if fresh > len(self.trace):
-                # The ring evicted part of the chunk's records: that much
-                # churn is progress by definition.
-                progressed = True
-            else:
-                progressed = any(
-                    rec.category not in ignored
-                    for rec in islice(iter(self.trace),
-                                      len(self.trace) - fresh, None)
-                )
+            # A ring that evicted part of the chunk's records saw that much
+            # churn: progress by definition.
+            progressed = fresh > len(trace) or any(
+                rec.category not in ignored for rec in trace.tail(fresh)
+            )
             if self._quiet() and not progressed:
                 quiet_streak += 1
                 if quiet_streak >= settle_chunks:
@@ -606,7 +597,7 @@ def build_cluster(
             index=i,
             n=n,
             config=config,
-            clock=lambda: sim.now,
+            clock=sim_clock(sim),
             trace=trace,
             advertised_buf=buffer_free_fn(buffer),
             **extra,

@@ -316,6 +316,9 @@ class COEntity:
         #: Total stashed PDUs across sources, maintained at the stash /
         #: drain sites so resident_pdus stays O(1) per accepted PDU.
         self._stash_size = 0
+        #: Per carrier, the last ACK tuple failure condition (2) found no
+        #: gap in (:meth:`_check_ack_gaps`).
+        self._gapless_ack: Dict[int, Tuple[int, ...]] = {}
         #: Accepted PDUs from peers, kept to re-serve RETs addressed to a
         #: suspected (crashed) source — the membership extension's
         #: peer-assisted retransmission.  Pruned below the live minAL.
@@ -1132,11 +1135,19 @@ class COEntity:
         redundant with failure condition (1) (harmlessly deduplicated by the
         gap tracker), but for unsequenced control PDUs it is the only way to
         learn that the carrier itself sent data we never saw.
+
+        REQ only grows, so a vector that named no gap names none when its
+        carrier repeats it verbatim (most heartbeats on sparse traffic do):
+        the last such tuple per carrier is remembered and skipped.
         """
+        if self._gapless_ack.get(carrier) == ack:
+            return
+        gapless = type(ack) is tuple  # never remember a mutable vector
         for j in range(self.n):
             if j == self.index:
                 continue
             if ack[j] > self.state.req[j]:
+                gapless = False
                 self._trace.record(
                     self.now, "gap", self.index,
                     kind="F2", src=j,
@@ -1152,6 +1163,8 @@ class COEntity:
                     # the tick-driven retry timer if the route never
                     # completes.
                     self._send_ret(j, ack[j])
+        if gapless:
+            self._gapless_ack[carrier] = ack
 
     def _send_ret(self, lsrc: int, upto: int) -> None:
         """The retransmission-request side of the retransmission action."""
@@ -2129,6 +2142,7 @@ class COEntity:
             self._flush_cap.setdefault(m, None)
             self.state.set_evicted(m, True)
         self.state.req = list(s.ack)
+        self._gapless_ack.clear()  # REQ was replaced, not grown
         self.sl.start_at(s.ack[self.index])
         self._preack_floor = list(s.pack)
         self.state.merge_al(self.index, s.ack)

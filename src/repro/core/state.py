@@ -249,6 +249,13 @@ class KnowledgeState:
         # engine's prune step visits exactly these instead of sweeping all
         # n sources per acknowledged PDU.
         self._al_all_dirty: set = set()
+        # The last vector folded into each AL / PAL row.  Cells only grow,
+        # so folding an equal vector again raises nothing; on sparse traffic
+        # most confirmations are such repeats (tick probes, their answers).
+        # Tuples only — a list may be mutated by its owner.  Sound exactly
+        # as long as nothing ever *lowers* a cell (DESIGN.md §16).
+        self._last_al: List[Optional[Tuple[int, ...]]] = [None] * n
+        self._last_pal: List[Optional[Tuple[int, ...]]] = [None] * n
 
     # ------------------------------------------------------------------
     # Roster mapping (view-local row <-> global member id)
@@ -325,6 +332,10 @@ class KnowledgeState:
         actually rose — the only sources for which the PACK condition can
         newly hold, so the engine rescans exactly those.
         """
+        if type(ack) is tuple:
+            if ack == self._last_al[observer]:
+                return UNCHANGED
+            self._last_al[observer] = ack
         return self._merge(
             self._al, self._min_al, self._min_al_count, observer, ack,
             all_minima=self._min_al_all, all_counts=self._min_al_all_count,
@@ -349,6 +360,10 @@ class KnowledgeState:
 
     def merge_pal(self, observer: int, pack: Sequence[int]) -> MergeResult:
         """Fold a pre-acknowledgment vector into ``PAL[observer]``."""
+        if type(pack) is tuple:
+            if pack == self._last_pal[observer]:
+                return UNCHANGED
+            self._last_pal[observer] = pack
         return self._merge(
             self._pal, self._min_pal, self._min_pal_count, observer, pack,
         )

@@ -538,6 +538,129 @@ open-loop workloads, where the loop is mostly idle, deadline ticks are
 *less* late than sleeping ones.  ``trace.*`` rows are non-zero again with
 the bounded default recorder (``trace.records`` 2.6e5 on ``udp_bulk``):
 ``FlightRecorder`` no longer overrides ``TraceLog.record``.
+
+## A cheap simulator (end-to-end bench, before/after)
+
+ISSUE 20 replaced the per-copy path of the simulator stack — kernel heap
+entries, the network's fan-out loop, the host's arrival path, the trace
+record — and stopped the knowledge layer from re-folding confirmation
+vectors it has already folded (DESIGN.md §16).  Parent = commit
+``60e555f``; both sides measured with identical harness code,
+``python3 benchmarks/e2e/run.py --workload W --seed S --seconds 25
+--trace 0``, parent and change alternating which runs first, one shared
+2-core host.  ``sim_wide``: ten pairs, seeds 7 and 61–69; the UDP
+workloads: five pairs each, seeds 60–64.  Cells are medians over the
+pairs; [q1–q3] are quartiles.  ``failed`` = 0 in all 58 runs.
+
+```
+workload    metric                  parent [q1–q3]            change [q1–q3]           change/parent  change better in
+sim_wide    cpu_us_per_delivery     571.6 [566.1–588.1]       331.1 [309.9–362.5]      0.58           10/10 pairs   <- the claim (>= 25 % lower)
+sim_wide    goodput_msgs_per_s      53.85 [52.54–54.48]       92.63 [85.01–98.78]      1.72           10/10
+sim_wide    peak_rss_mb             83.62 [83.58–83.67]       41.67 [41.66–41.73]      0.50           10/10
+sim_wide    deliver_p50_ms          139.4                     139.4                    equal to the last digit, 10/10 seeds
+sim_wide    deliver_p95_ms          166.8                     166.8                    equal to the last digit, 10/10 seeds
+sim_wide    wire_frames_per_msg     634.1                     634.1                    equal to the last digit, 10/10 seeds
+sim_wide    setup_s                 0.175 [0.174–0.177]       0.179 [0.169–0.186]      1.02           5/10   (unresolved: inside the spread)
+udp_bulk    goodput_msgs_per_s      4253  [4072–4650]         4870  [4817–4951]        1.15           5/5
+udp_bulk    cpu_us_per_delivery     57.21 [52.87–60.65]       50.12 [48.80–50.48]      0.88           5/5
+udp_bulk    deliver_p50_ms          24.56 [23.07–25.08]       21.46 [21.02–21.99]      0.87           5/5
+udp_bulk    deliver_p95_ms          36.14 [34.08–36.51]       33.03 [32.27–33.92]      0.91           5/5
+udp_bulk    wire_frames_per_msg     3.474 [3.469–3.524]       3.423 [3.410–3.443]      0.99           5/5
+udp_bulk    peak_rss_mb             134.6 [131.1–141.1]       140.7 [139.7–142.3]      1.05           1/5    (worse, inside the parent's spread and the 25 % bound: 15 % more messages are retained)
+udp_bulk    setup_s                 0.168 [0.167–0.185]       0.172 [0.172–0.176]      1.03           2/5    (unresolved)
+udp_steady  goodput_msgs_per_s      400.0                     400.0                    1.00           offered rate, both
+udp_steady  cpu_us_per_delivery     357.8 [355.9–371.7]       339.9 [336.3–343.2]      0.95           3/5
+udp_steady  deliver_p50_ms          1.915 [1.895–1.917]       1.819 [1.789–1.867]      0.95           3/5
+udp_steady  deliver_p95_ms          2.600 [2.556–2.698]       2.576 [2.492–2.651]      0.99           3/5
+udp_steady  wire_frames_per_msg     23.65 [23.46–23.68]       23.66 [23.65–23.71]      1.00           protocol floor ~24
+udp_steady  peak_rss_mb             47.09 [47.07–47.13]       44.79 [44.79–44.81]      0.95           5/5
+udp_steady  setup_s                 0.237 [0.235–0.241]       0.215 [0.204–0.225]      0.91           4/5
+udp_lossy   goodput_msgs_per_s      399.6                     399.7                    1.00           offered rate, both
+udp_lossy   cpu_us_per_delivery     307.9 [303.3–307.9]       295.1 [290.8–295.6]      0.96           5/5
+udp_lossy   deliver_p50_ms          4.718 [4.679–4.835]       4.613 [4.550–4.671]      0.98           3/5
+udp_lossy   deliver_p95_ms          11.32 [11.27–11.40]       11.17 [11.10–11.39]      0.99           4/5
+udp_lossy   wire_frames_per_msg     17.73 [17.73–17.80]       17.82 [17.73–17.97]      1.01           1/5    (inside the 20 % bound)
+udp_lossy   peak_rss_mb             47.09 [47.08–47.09]       44.94 [44.88–44.95]      0.95           5/5
+udp_lossy   setup_s                 0.236 [0.235–0.242]       0.237 [0.235–0.244]      1.01           2/5    (unresolved)
+```
+
+The claim is met: ``cpu_us_per_delivery`` on ``sim_wide`` is 42 % below the
+parent's median (the parent's own quartiles are 22 µs apart, the medians
+240 µs), in ten of ten pairs, and the three metrics that come off the
+simulated clock and the frame counter did not move in any digit for any
+seed — same events, same arrival times, cheaper.  ``peak_rss_mb`` halves
+because four fifths of the retained ``TraceRecord``s were ``arrive``.  The
+UDP workloads share ``TraceRecord``, ``TraceLog.record``,
+``ReceiveBuffer.offer`` and the two memos; they are neutral-or-better
+everywhere a direction can be told, and ``udp_bulk`` — the workload that
+writes the most records per second — gains 15 % goodput from them.
+
+The ``--trace 1`` ledger rows that paid for it (one traced 5 s repeat per
+cell, seed 7; ``*_us`` rows are self time under the tracer, which roughly
+doubles them; counts are exact):
+
+```
+workload    row                              parent     change
+sim_wide    kernel.events                    255720     255720    (same events)
+sim_wide    network.copies_per_msg           637.4      637.4     (same copies)
+sim_wide    kernel.self_us_per_event         7.82       4.33
+sim_wide    simhost.self_us_per_arrival      16.34      10.47
+sim_wide    network.self_us_per_copy         7.28       3.83
+sim_wide    trace.records                    156204     33816     (-122 388 = one per arriving copy)
+sim_wide    trace.us_per_record              3.02       2.17
+sim_wide    state.merge_calls                378225     378225
+sim_wide    state.merge_us_per_call          3.38       1.95
+sim_wide    entity.on_pdu_self_us            18.10      13.36
+sim_wide    kernel+simhost+network+trace     0.61       0.55      (busy shares; entity+state 0.41 -> 0.47)
+sim_wide    ledger.coverage                  1.03       1.03
+udp_bulk    trace.us_per_record              4.77       1.84
+udp_bulk    trace.busy_share                 0.165      0.073
+udp_bulk    state.merge_us_per_call          2.70       2.72
+udp_bulk    ledger.coverage                  1.08       1.07
+udp_steady  trace.us_per_record              4.39       2.00
+udp_steady  trace.busy_share                 0.052      0.024
+udp_steady  state.merge_us_per_call          2.42       2.22
+udp_steady  ledger.coverage                  0.97       0.95
+udp_lossy   trace.us_per_record              4.77       2.18
+udp_lossy   trace.busy_share                 0.066      0.030
+udp_lossy   state.merge_us_per_call          2.70       2.88
+udp_lossy   ledger.coverage                  0.98       0.96
+```
+
+The saving is where it was claimed.  Per arriving copy the harness rows
+(2.09 kernel events + one host arrival + one network copy + its records)
+fall from about 44 µs to 24 µs and the protocol rows (``on_pdu`` self time
++ 3.09 merges) from about 29 µs to 19 µs, the latter through the memoised
+repeats alone.  On UDP the record itself is what got cheaper — the slotted
+``TraceRecord`` and counting in ``record`` instead of in a ``deque``
+subclass's Python ``append`` — and the merge memo is neutral: a decoded
+frame always carries fresh tuples, so a hit costs one C-level tuple
+comparison where it saves a row walk, and on ``udp_bulk`` consecutive
+vectors from a busy member rarely repeat.
+
+**Run length.**  ROADMAP item 3 read the super-linear wall time of longer
+``sim_wide`` runs as something in the harness growing with run length.  It
+is not (in-process, n=32, seed 7, the ``sim_wide`` recipe, best of two
+runs per cell):
+
+```
+messages per sender     3        6        10       15
+copies delivered        60 543   122 233  231 477  398 102
+wire_frames_per_msg     631      637      723      829
+CPU us per copy, parent 30.9     38.0     32.5     36.9
+CPU us per copy, change 19.6     20.5     21.2     18.2
+trace records, parent   77 441   156 039  289 867  489 578
+trace records, change   16 898   33 806   58 390   91 476
+```
+
+CPU per arriving copy is flat on both sides; what grows is the number of
+copies each message costs — the probe chatter of hosts that are saturated
+for longer — which is ROADMAP item 1(a), not a simulator cost.  (The one
+harness cost that did grow with run length, ``run_until_quiescent``
+re-walking the whole trace at every chunk, is fixed by ``TraceLog.tail``
+and was 1.4 ms per chunk at 156 k records.)  Tier-1: the files that existed
+at the parent run in 40.9 s against 47.6 s; with this PR's 37 new tests
+(the two traced harness runs are 5 s of them) the suite is 1 036 tests.
 """
 
 

@@ -93,7 +93,7 @@ class ReceiveBuffer:
     @property
     def free_units(self) -> int:
         """Available units — the value advertised in a PDU's ``BUF`` field."""
-        return self.capacity_units - self.used_units
+        return self.capacity_units - self._used_units
 
     @property
     def capacity_pdus(self) -> int:
@@ -116,16 +116,18 @@ class ReceiveBuffer:
         Returns ``False`` — a buffer overrun, i.e. the PDU is lost — when
         there is not enough free space.
         """
-        self.stats.offered += 1
+        stats = self.stats
+        stats.offered += 1
         need = self._units(pdu)
-        if self.free_units < need:
-            self.stats.overruns += 1
+        used = self._used_units + need
+        if used > self.capacity_units:
+            stats.overruns += 1
             return False
         self._queue.append((pdu, need))
-        self._used_units += need
-        self.stats.accepted += 1
-        if self.used_units > self.stats.high_water_units:
-            self.stats.high_water_units = self.used_units
+        self._used_units = used
+        stats.accepted += 1
+        if used > stats.high_water_units:
+            stats.high_water_units = used
         return True
 
     def pop(self) -> Any:

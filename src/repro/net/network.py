@@ -13,12 +13,19 @@ order per (src, dst) pair is clamped to FIFO.  Destination-side buffer
 overrun — the paper's primary loss mechanism — happens *after* arrival, in
 the entity host (:mod:`repro.core.cluster`), not here: the medium itself is
 error-free.
+
+One broadcast is ``n - 1`` copies and the simulator pays for each, so
+:meth:`MCNetwork._send_copies` works out what is the same for the whole
+frame (wire size, send time, the source's delay and FIFO rows, whether the
+loss model can drop at all) once; a copy then costs a few local reads and
+one ``schedule_at`` (DESIGN.md §16).  Each seeded stream is drawn in the
+order it always was: destinations ascending, a duplicate before its original.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.net.delay import DelayModel
 from repro.net.loss import DuplicatingChannel, LossModel, NoLoss
@@ -110,9 +117,9 @@ class MCNetwork(SimProcess):
         self._dup_rng = registry.stream("network-dup")
         self._delay_rng = registry.stream("network-delay")
         self._sinks: Dict[int, Sink] = {}
-        # Last scheduled arrival time per (src, dst), to clamp links to FIFO
-        # even if a topology or future jitter model produced reordering.
-        self._last_arrival: Dict[Tuple[int, int], float] = {}
+        # Last scheduled arrival time per pair, ``[src][dst]``, to clamp
+        # links to FIFO whatever jitter or delay model reordered the draws.
+        self._last_arrival = [[0.0] * topology.n for _ in range(topology.n)]
         self._in_flight = 0
         self.stats = NetworkStats()
 
@@ -152,10 +159,7 @@ class MCNetwork(SimProcess):
             self.now, "broadcast", src,
             kind=type(pdu).__name__, **_pdu_trace_fields(pdu),
         )
-        for dst in range(self.n):
-            if dst == src:
-                continue
-            self._send_copy(src, dst, pdu)
+        self._send_copies(src, [d for d in range(self.n) if d != src], pdu)
 
     def unicast(self, src: int, dst: int, pdu: Any) -> None:
         """Send a PDU to a single destination (used by extensions)."""
@@ -167,7 +171,7 @@ class MCNetwork(SimProcess):
             self.now, "unicast", src, dst=dst,
             kind=type(pdu).__name__, **_pdu_trace_fields(pdu),
         )
-        self._send_copy(src, dst, pdu)
+        self._send_copies(src, (dst,), pdu)
 
     # ------------------------------------------------------------------
     # Internals
@@ -185,40 +189,56 @@ class MCNetwork(SimProcess):
             self.stats.batch_frames += 1
             self.stats.batched_data_pdus += inner.pdu_count
 
-    def _send_copy(self, src: int, dst: int, pdu: Any) -> None:
+    def _send_copies(self, src: int, dsts: Sequence[int], pdu: Any) -> None:
+        """Put one copy of a frame in flight towards each of ``dsts``."""
+        stats = self.stats
         if self.duplication is not None:
-            extra = self.duplication.extra_copies(src, dst, pdu, self._dup_rng)
-            self.stats.copies_duplicated += extra
             # Each duplicate runs the normal copy path (own loss draw, own
-            # delay); FIFO clamping keeps the pair's local order intact.
-            for _ in range(extra):
-                self._dispatch_copy(src, dst, pdu)
-        self._dispatch_copy(src, dst, pdu)
-
-    def _dispatch_copy(self, src: int, dst: int, pdu: Any) -> None:
-        self.stats.copies_sent += 1
+            # delay) just before its original; FIFO clamping keeps the
+            # pair's local order intact.
+            expanded: List[int] = []
+            for dst in dsts:
+                extra = self.duplication.extra_copies(src, dst, pdu, self._dup_rng)
+                stats.copies_duplicated += extra
+                expanded += [dst] * (extra + 1)
+            dsts = expanded
+        now = self.sim.now
         size = pdu_wire_size(pdu)
-        self.stats.bytes_sent += size
-        if self.loss.should_drop(src, dst, pdu, self._rng):
-            self.stats.copies_dropped += 1
-            fields = _pdu_trace_fields(pdu)
-            fields.setdefault("src", src)
-            self.trace.record(self.now, "drop", dst, reason="injected", **fields)
-            return
-        arrival = self.now + self.topology.delay(src, dst)
-        if self.bandwidth_bytes_per_s:
-            arrival += size / self.bandwidth_bytes_per_s
-        if self.jitter:
-            arrival += self._jitter_rng.expovariate(1.0 / self.jitter)
-        if self.delay_model is not None:
-            arrival += self.delay_model.extra_delay(src, dst, pdu, self._delay_rng)
-        key = (src, dst)
-        last = self._last_arrival.get(key, 0.0)
-        if arrival < last:
-            arrival = last  # clamp: links are FIFO in the MC model
-        self._last_arrival[key] = arrival
-        self._in_flight += 1
-        self.sim.schedule_at(arrival, self._arrive, src, dst, pdu)
+        bandwidth = self.bandwidth_bytes_per_s
+        serialisation = size / bandwidth if bandwidth else 0.0
+        jitter = self.jitter
+        delay_model = self.delay_model
+        loss = self.loss
+        lossy = type(loss) is not NoLoss  # NoLoss draws nothing: skip the call
+        delays = self.topology.delays_from(src)
+        last = self._last_arrival[src]
+        schedule_at = self.sim.schedule_at
+        arrive = self._arrive
+        dropped = 0
+        for dst in dsts:
+            if lossy and loss.should_drop(src, dst, pdu, self._rng):
+                dropped += 1
+                fields = _pdu_trace_fields(pdu)
+                fields.setdefault("src", src)
+                self.trace.record(now, "drop", dst, reason="injected", **fields)
+                continue
+            # Keep this order of additions: floats do not associate, and
+            # arrival times are reproducible to the bit.
+            arrival = now + delays[dst]
+            if serialisation:
+                arrival += serialisation
+            if jitter:
+                arrival += self._jitter_rng.expovariate(1.0 / jitter)
+            if delay_model is not None:
+                arrival += delay_model.extra_delay(src, dst, pdu, self._delay_rng)
+            if arrival < last[dst]:
+                arrival = last[dst]  # clamp: links are FIFO in the MC model
+            last[dst] = arrival
+            schedule_at(arrival, arrive, src, dst, pdu)
+        stats.copies_sent += len(dsts)
+        stats.bytes_sent += len(dsts) * size
+        stats.copies_dropped += dropped
+        self._in_flight += len(dsts) - dropped
 
     def _arrive(self, src: int, dst: int, pdu: Any) -> None:
         self._in_flight -= 1

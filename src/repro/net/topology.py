@@ -59,6 +59,12 @@ class Topology:
         """Propagation delay from ``src`` to ``dst``."""
         return self._matrix[src][dst]
 
+    def delays_from(self, src: int) -> Sequence[float]:
+        """The live row of delays from ``src`` to every entity (read-only:
+        the network's per-copy loop indexes it instead of calling
+        :meth:`delay` once per destination)."""
+        return self._matrix[src]
+
     @property
     def max_delay(self) -> float:
         """The paper's ``R``: the largest pairwise delay in the cluster."""

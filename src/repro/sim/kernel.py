@@ -1,7 +1,7 @@
 """Discrete-event simulation kernel.
 
 The kernel is intentionally small: a simulated clock and a binary heap of
-pending events.  Two properties matter for the rest of the repository:
+pending events.  Three properties matter for the rest of the repository:
 
 * **Determinism.**  Events scheduled for the same simulated time fire in the
   order they were scheduled (a monotonically increasing sequence number is
@@ -10,11 +10,18 @@ pending events.  Two properties matter for the rest of the repository:
 * **Cancelability.**  :meth:`Simulator.schedule` returns an
   :class:`EventHandle`; cancelled events stay in the heap but are skipped when
   popped, which is O(1) per cancellation.
+* **A cheap heap.**  The handle *is* the heap entry: a ``list`` subclass
+  ``[time, seq, callback, args]`` that defines no ``__lt__``, so ``heapq``
+  orders entries with the C list comparison — ``time`` first, then the
+  unique ``seq``, never reaching the (uncomparable) callback — instead of
+  calling back into Python ~2 log2(heap) times per event (DESIGN.md §16).
 """
 
 from __future__ import annotations
 
 import heapq
+from functools import partial
+from operator import itemgetter
 from typing import Any, Callable, List, Optional
 
 
@@ -22,47 +29,45 @@ class SimulationError(RuntimeError):
     """Raised for kernel misuse, e.g. scheduling into the past."""
 
 
-class EventHandle:
-    """A cancelable reference to a scheduled event.
+class EventHandle(list):
+    """A cancelable reference to a scheduled event: the heap entry itself,
+    ``[time, seq, callback, args]``.
 
     Instances are returned by :meth:`Simulator.schedule` and
     :meth:`Simulator.schedule_at`.  They are true handles, not copies: calling
     :meth:`cancel` prevents the callback from firing even though the entry
-    remains in the heap until popped.
+    remains in the heap until popped.  Treat the list as read-only; the
+    properties below are the interface.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled")
+    __slots__ = ()
 
-    def __init__(self, time: float, seq: int, callback: Callable[..., Any], args: tuple):
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
+    time = property(itemgetter(0), doc="Simulated time the event fires at.")
+    seq = property(itemgetter(1), doc="Scheduling order; breaks time ties.")
+    callback = property(itemgetter(2), doc="The callback; None once cancelled.")
+    args = property(itemgetter(3), doc="Positional arguments of the callback.")
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Idempotent."""
-        self.cancelled = True
-        # Drop references so cancelled events do not pin large objects
-        # (e.g. PDU payloads) in the heap until they are popped.
-        self.callback = _noop
-        self.args = ()
+        # Blank the slots so cancelled events do not pin large objects
+        # (e.g. PDU payloads) in the heap until popped; the (time, seq) key
+        # stays, the entry must keep its heap position.
+        self[2] = None
+        self[3] = ()
+
+    @property
+    def cancelled(self) -> bool:
+        return self[2] is None
 
     @property
     def pending(self) -> bool:
-        """True while the event is scheduled and not cancelled."""
-        return not self.cancelled
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+        """True unless the event was cancelled (a fired event still reads
+        pending; the timers drop their handle when it fires)."""
+        return self[2] is not None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"EventHandle(t={self.time!r}, seq={self.seq}, {state})"
-
-
-def _noop(*_args: Any) -> None:
-    return None
+        state = "cancelled" if self[2] is None else "pending"
+        return f"EventHandle(t={self[0]!r}, seq={self[1]}, {state})"
 
 
 class Simulator:
@@ -124,8 +129,8 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time!r}, already at t={self._now!r}"
             )
-        self._seq += 1
-        handle = EventHandle(time, self._seq, callback, args)
+        self._seq = seq = self._seq + 1
+        handle = EventHandle((time, seq, callback, args))
         heapq.heappush(self._heap, handle)
         return handle
 
@@ -138,12 +143,12 @@ class Simulator:
         Returns ``True`` if an event ran, ``False`` if the queue is empty.
         """
         while self._heap:
-            handle = heapq.heappop(self._heap)
-            if handle.cancelled:
+            time, _, callback, args = heapq.heappop(self._heap)
+            if callback is None:
                 continue
-            self._now = handle.time
+            self._now = time
             self._events_executed += 1
-            handle.callback(*handle.args)
+            callback(*args)
             return True
         return False
 
@@ -159,24 +164,26 @@ class Simulator:
         self._running = True
         self._stopped = False
         executed = 0
+        heap = self._heap
+        pop = heapq.heappop
         try:
-            while self._heap and not self._stopped:
-                head = self._heap[0]
-                if head.cancelled:
-                    heapq.heappop(self._heap)
+            while heap and not self._stopped:
+                time, _, callback, args = heap[0]
+                if callback is None:
+                    pop(heap)
                     continue
-                if until is not None and head.time > until:
+                if until is not None and time > until:
                     self._now = until
                     break
                 if max_events is not None and executed >= max_events:
                     raise SimulationError(
                         f"exceeded max_events={max_events} (runaway protocol?)"
                     )
-                heapq.heappop(self._heap)
-                self._now = head.time
+                pop(heap)
+                self._now = time
                 self._events_executed += 1
                 executed += 1
-                head.callback(*head.args)
+                callback(*args)
             else:
                 if until is not None and not self._stopped and self._now < until:
                     self._now = until
@@ -190,3 +197,10 @@ class Simulator:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Simulator(now={self._now!r}, pending={len(self._heap)})"
+
+
+def sim_clock(sim: Simulator) -> Callable[[], float]:
+    """The zero-argument clock a sans-I/O engine reads ``sim``'s time by:
+    a C-level ``getattr``, where a ``lambda`` through the ``now`` property
+    costs two Python frames on every record an engine stamps."""
+    return partial(getattr, sim, "_now")

@@ -14,20 +14,26 @@ consumers:
 
 Records are plain data; categories are free-form strings but the protocol
 engines stick to the vocabulary in :data:`CATEGORIES`.
+
+Recording is on every runtime's hot path, so a record is a plain
+``__slots__`` class (half a frozen dataclass's construction cost) and there
+is one way in, :meth:`TraceLog.record`, which also keeps ``recorded_total``.
+Nothing is recorded that no consumer reads: a copy *reaching* a receive
+buffer is not an event, its fate (``drop``, or ``accept`` / ``duplicate`` /
+``stash`` once the engine saw it) is — DESIGN.md §16.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 #: Vocabulary of record categories emitted by the engines in this repository.
 CATEGORIES = (
     "submit",        # application handed data to the service
     "broadcast",     # a PDU was handed to the network
-    "arrive",        # a PDU reached an entity's receive buffer
     "drop",          # a PDU was lost (buffer overrun or injected loss)
     "accept",        # acceptance action ran (PDU entered RRL)
     "duplicate",     # a retransmitted copy of an already-accepted PDU arrived
@@ -61,22 +67,39 @@ CATEGORIES = (
 )
 
 
-@dataclass(frozen=True)
 class TraceRecord:
     """One event in a run.
 
     ``entity`` is the index of the entity the event happened *at* (or the
     sender for ``broadcast``); ``details`` carries category-specific keys
-    such as ``src``, ``seq``, ``pdu_id``.
+    such as ``src``, ``seq``, ``pdu_id``.  Records compare by value.
     """
 
-    time: float
-    category: str
-    entity: int
-    details: Dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("time", "category", "entity", "details")
+
+    def __init__(
+        self, time: float, category: str, entity: int,
+        details: Optional[Dict[str, Any]] = None,
+    ):
+        self.time = time
+        self.category = category
+        self.entity = entity
+        self.details: Dict[str, Any] = {} if details is None else details
 
     def get(self, key: str, default: Any = None) -> Any:
         return self.details.get(key, default)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TraceRecord):
+            return NotImplemented
+        return (
+            self.time == other.time and self.category == other.category
+            and self.entity == other.entity and self.details == other.details
+        )
+
+    def __repr__(self) -> str:
+        return (f"TraceRecord(time={self.time!r}, category={self.category!r}, "
+                f"entity={self.entity!r}, details={self.details!r})")
 
     def __str__(self) -> str:
         parts = " ".join(f"{k}={v}" for k, v in sorted(self.details.items()))
@@ -93,6 +116,9 @@ class TraceLog:
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self._records: List[TraceRecord] = []
+        #: Every record ever offered — never reset, so an absolute cursor
+        #: whatever :meth:`clear` or a ring bound did to the retained ones.
+        self.recorded_total = 0
 
     # ------------------------------------------------------------------
     # Recording
@@ -101,6 +127,7 @@ class TraceLog:
         """Append a record (no-op when the log is disabled)."""
         if not self.enabled:
             return
+        self.recorded_total += 1
         self._records.append(TraceRecord(time, category, entity, details))
 
     # ------------------------------------------------------------------
@@ -118,6 +145,11 @@ class TraceLog:
     @property
     def records(self) -> Tuple[TraceRecord, ...]:
         return tuple(self._records)
+
+    def tail(self, k: int) -> Iterator[TraceRecord]:
+        """The last ``k`` retained records, **newest first**, in O(k): for
+        polling what a long run appended without walking it from record 0."""
+        return islice(reversed(self._records), max(k, 0))
 
     def select(
         self,
@@ -214,22 +246,6 @@ def load_jsonl(path: str) -> Tuple["TraceLog", Dict[str, Any]]:
     return log, meta
 
 
-class _Ring(deque):
-    """A ``deque(maxlen=capacity)`` that counts what it was offered and
-    what the bound pushed out."""
-
-    def __init__(self, capacity: int):
-        super().__init__(maxlen=capacity)
-        self.offered = 0
-        self.shed = 0
-
-    def append(self, record: TraceRecord) -> None:
-        self.offered += 1
-        if len(self) == self.maxlen:
-            self.shed += 1
-        super().append(record)
-
-
 class FlightRecorder(TraceLog):
     """A :class:`TraceLog` with a hard memory bound: a ring of the most
     recent ``capacity`` records.
@@ -241,8 +257,9 @@ class FlightRecorder(TraceLog):
     (``evicted``) so a truncated recording is never mistaken for a short
     run.  Drop-in everywhere a ``TraceLog`` goes: engines, clusters,
     runtimes and harnesses record into it unchanged — through
-    :meth:`TraceLog.record` itself (the bound lives in the ring the records
-    go into), so whatever instruments that one method sees every record.
+    :meth:`TraceLog.record` itself (the bound lives in the ``deque`` the
+    records go into), so whatever instruments that one method sees every
+    record; what the bound shed is what was offered, not kept, not cleared.
     """
 
     def __init__(self, capacity: int = 100_000, enabled: bool = True):
@@ -250,17 +267,17 @@ class FlightRecorder(TraceLog):
             raise ValueError(f"capacity must be positive, got {capacity}")
         super().__init__(enabled)
         self.capacity = capacity
-        self._records: _Ring = _Ring(capacity)  # type: ignore[assignment]
+        self._records = deque(maxlen=capacity)  # type: ignore[assignment]
+        self._cleared = 0
 
-    @property
-    def recorded_total(self) -> int:
-        """Every record ever offered, including the ones the ring shed."""
-        return self._records.offered
+    def clear(self) -> None:
+        self._cleared += len(self._records)
+        super().clear()
 
     @property
     def evicted(self) -> int:
         """Records pushed out by the ring bound."""
-        return self._records.shed
+        return self.recorded_total - self._cleared - len(self._records)
 
     def meta(self) -> Dict[str, Any]:
         return {

@@ -1,0 +1,149 @@
+"""Conformance: the simulator is bit-for-bit deterministic across perf PRs.
+
+Three seeded runs are pinned to literals captured on the commit *before*
+the per-copy path of the simulator stack was rewritten (ISSUE 20): the
+number of kernel events, the final simulated clock, every network counter,
+the per-category trace census and a SHA-256 over each host's
+``(src, seq, delivered_at)`` sequence.  A perf change to ``sim/``, ``net/``
+or ``core/cluster.py`` that reorders one same-instant event, draws one RNG
+value out of order or shifts one arrival by an ulp fails here, in tier-1,
+not only in the end-to-end comparison.
+
+* ``jitter`` — the ``sim_wide`` recipe at n=8: seeded 20 µs exponential
+  jitter on every link, 4096-unit buffers, nothing lost.
+* ``lossy`` — 5 % Bernoulli loss on the default 256-unit buffers: gap
+  detection, stashing, RETs, retransmissions and the loss stream's draw
+  order.  (At n=8 the flow condition keeps the buffers from overrunning —
+  ``overruns`` is pinned at 0.)
+* ``overrun`` — the same loss at n=20, 3 messages per sender: 20 senders
+  do overrun 256-unit buffers, so the paper's own loss mechanism (§2.1),
+  the ``drop reason=overrun`` path of the host and the recovery from it
+  are pinned as well.
+
+``arrive`` records are excluded from the census: the category was dropped
+by the same change (nothing ever read it), and the goldens must hold on
+both sides of that deletion.
+
+To re-capture after an *intended* behaviour change:
+``PYTHONPATH=src python tests/conformance/test_sim_golden.py``.
+"""
+
+import hashlib
+from collections import Counter
+
+import pytest
+
+from repro.core.cluster import build_cluster
+from repro.net.delay import JitterDelay
+from repro.net.loss import BernoulliLoss
+from repro.ordering.checker import verify_run
+from repro.sim.rng import RngRegistry
+from repro.workloads.generators import ContinuousWorkload
+
+SEED = 7
+
+#: scenario -> (n, messages per sender, build_cluster keyword arguments)
+SCENARIOS = {
+    "jitter": (8, 4, lambda: dict(
+        delay_model=JitterDelay(20e-6), buffer_capacity=4096)),
+    "lossy": (8, 4, lambda: dict(loss=BernoulliLoss(0.05))),
+    "overrun": (20, 3, lambda: dict(loss=BernoulliLoss(0.05))),
+}
+
+
+def fingerprint(scenario):
+    n, per_sender, kwargs = SCENARIOS[scenario]
+    rngs = RngRegistry(SEED)
+    cluster = build_cluster(n, rngs=rngs, **kwargs())
+    ContinuousWorkload(messages_per_entity=per_sender).install(cluster, rngs)
+    cluster.run_until_quiescent(max_time=60.0)
+    verify_run(cluster.trace, n, expect_all_delivered=True).assert_ok()
+    digest = hashlib.sha256()
+    for host in cluster.hosts:
+        for m in host.delivered:
+            digest.update(repr((m.src, m.seq, m.delivered_at)).encode())
+        digest.update(b"|")
+    census = Counter(rec.category for rec in cluster.trace)
+    census.pop("arrive", None)
+    return {
+        "events_executed": cluster.sim.events_executed,
+        "now": cluster.sim.now,
+        "network": cluster.network.stats.snapshot(),
+        "overruns": sum(h.buffer.stats.overruns for h in cluster.hosts),
+        "trace": dict(sorted(census.items())),
+        "deliveries_sha256": digest.hexdigest(),
+    }
+
+
+GOLDEN = {
+    'jitter': {
+        'events_executed': 1506,
+        'now': 0.025202999999999996,
+        'overruns': 0,
+        'network': {
+            'batch_frames': 0, 'batched_data_pdus': 0, 'broadcasts': 91,
+            'bytes_sent': 158480, 'control_pdus': 59, 'copies_delivered': 637,
+            'copies_dropped': 0, 'copies_duplicated': 0, 'copies_sent': 637,
+            'data_pdus': 32, 'unicasts': 0,
+        },
+        'trace': {
+            'accept': 256, 'ack': 256, 'broadcast': 91, 'deliver': 256,
+            'gauge': 24, 'heartbeat': 59, 'preack': 256, 'submit': 32,
+        },
+        'deliveries_sha256':
+            'a87ddef4b68f47e4a22b1b4ad9ddf45ce0cac81af2521442e36a47a1c063c50c',
+    },
+    'lossy': {
+        'events_executed': 1808,
+        'now': 0.033603999999999995,
+        'overruns': 0,
+        'network': {
+            'batch_frames': 0, 'batched_data_pdus': 0, 'broadcasts': 114,
+            'bytes_sent': 204988, 'control_pdus': 71, 'copies_delivered': 756,
+            'copies_dropped': 42, 'copies_duplicated': 0, 'copies_sent': 798,
+            'data_pdus': 43, 'unicasts': 0,
+        },
+        'trace': {
+            'accept': 256, 'ack': 256, 'broadcast': 114, 'deliver': 256,
+            'drop': 42, 'duplicate': 62, 'gap': 148, 'gauge': 32,
+            'heartbeat': 54, 'preack': 256, 'ret': 17, 'retransmit': 11,
+            'stash': 9, 'submit': 32,
+        },
+        'deliveries_sha256':
+            '2b7491957afeca0e4e058c670ba173c70f513981869d92add9bb572fc0c9188f',
+    },
+    'overrun': {
+        'events_executed': 47116,
+        'now': 0.10921299999999995,
+        'overruns': 182,
+        'network': {
+            'batch_frames': 0, 'batched_data_pdus': 0, 'broadcasts': 1248,
+            'bytes_sent': 6139812, 'control_pdus': 972,
+            'copies_delivered': 22529, 'copies_dropped': 1183,
+            'copies_duplicated': 0, 'copies_sent': 23712, 'data_pdus': 276,
+            'unicasts': 0,
+        },
+        'trace': {
+            'accept': 1200, 'ack': 1200, 'broadcast': 1248, 'deliver': 1200,
+            'drop': 1365, 'duplicate': 3787, 'gap': 9397, 'gauge': 260,
+            'heartbeat': 765, 'preack': 1200, 'ret': 207, 'retransmit': 216,
+            'stash': 54, 'submit': 60,
+        },
+        'deliveries_sha256':
+            '164e007373af143824a19805dd748d012b2d6a10543c5dda8fd61d5c2c052392',
+    },
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(GOLDEN))
+def test_seeded_run_matches_golden(scenario):
+    got = fingerprint(scenario)
+    for key, want in GOLDEN[scenario].items():   # key by key: readable diffs
+        assert got.pop(key) == want, key
+    assert not got
+
+
+if __name__ == "__main__":
+    import pprint
+
+    pprint.pprint({s: fingerprint(s) for s in SCENARIOS}, width=78)

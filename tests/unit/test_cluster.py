@@ -117,3 +117,77 @@ def test_overrun_losses_are_recovered():
     cluster.run_until_quiescent(max_time=60.0)
     for i in range(3):
         assert len(cluster.delivered(i)) == 8
+
+
+# ----------------------------------------------------------------------
+# The per-arrival path (DESIGN.md §16)
+# ----------------------------------------------------------------------
+
+def test_an_arriving_copy_is_not_a_trace_event_but_its_loss_is():
+    cpu = CpuModel(base=5e-3, per_entity=0.0)
+    cluster = build_cluster(3, buffer_capacity=6, cpu=cpu)
+    for k in range(12):
+        cluster.submit(0, f"burst-{k}")
+    cluster.run_for(0.05)
+    cluster.crash(2)
+    cluster.submit(0, "after-crash")
+    cluster.run_for(0.05)
+    assert cluster.trace.count("arrive") == 0
+    reasons = {rec.get("reason") for rec in cluster.trace.select("drop")}
+    assert reasons == {"overrun", "crashed"}
+    overruns = sum(h.buffer.stats.overruns for h in cluster.hosts)
+    assert overruns == len(cluster.trace.select(
+        "drop", predicate=lambda rec: rec.get("reason") == "overrun"))
+    # Every copy the network delivered was offered to a live host's buffer
+    # or dropped at a crashed one — nothing vanishes with the record.
+    offered = sum(h.buffer.stats.offered for h in cluster.hosts)
+    crashed = len(cluster.trace.select(
+        "drop", predicate=lambda rec: rec.get("reason") == "crashed"))
+    assert offered + crashed == cluster.network.stats.copies_delivered
+
+
+def test_service_completion_is_scheduled_at_now_plus_service_time():
+    cluster = build_cluster(2, cpu=CpuModel(base=1e-3, per_entity=0.0))
+    host = cluster.hosts[1]
+    host.cpu_scale = 3.0
+    cluster.submit(0, "x")
+    cluster.run_for(200e-6)                   # the copy has just arrived
+    assert not host.idle and host.busy_time == pytest.approx(3e-3)
+    cluster.run_for(3e-3 - 1e-6)
+    assert host.pdus_processed == 0
+    cluster.run_for(2e-6)
+    assert host.pdus_processed == 1
+
+
+def test_engine_clock_is_the_kernel_clock_also_after_restart():
+    config = ProtocolConfig(suspect_timeout=0.02, evict_timeout=0.05)
+    cluster = build_cluster(3, config=config)
+    cluster.run_for(0.0123)
+    assert all(e.now == cluster.sim.now == 0.0123 for e in cluster.engines)
+    cluster.crash(1)
+    cluster.run_for(0.2)
+    reborn = cluster.restart(1)
+    cluster.run_for(0.0077)
+    assert reborn.now == cluster.sim.now
+    assert type(reborn._clock) is type(cluster.engines[0]._clock)
+
+
+def test_quiescence_polling_reads_only_the_tail_of_the_trace(monkeypatch):
+    """run_until_quiescent judges progress on what a chunk appended, via
+    TraceLog.tail — never by iterating the log from record 0."""
+    from repro.sim.trace import TraceLog
+
+    cluster = build_cluster(3)
+    for k in range(5):
+        cluster.submit(k % 3, f"m{k}")
+    before = cluster.trace.recorded_total
+    asked = []
+    real_tail = TraceLog.tail
+    monkeypatch.setattr(
+        TraceLog, "tail", lambda self, k: asked.append(k) or real_tail(self, k))
+    monkeypatch.setattr(
+        TraceLog, "__iter__",
+        lambda self: pytest.fail("the whole log was walked"))
+    cluster.run_until_quiescent(max_time=60.0)
+    assert sum(asked) == cluster.trace.recorded_total - before > 0
+    assert all(len(cluster.delivered(i)) == 5 for i in range(3))
