@@ -99,7 +99,12 @@ class EntityCounters:
     submitted: int = 0
     sent_data: int = 0
     sent_null: int = 0
+    #: Every heartbeat frame sent, probes and probe answers included.
     sent_heartbeats: int = 0
+    #: Heartbeats sent with ``probe`` set — "I am stuck, repeat yours".
+    probes_sent: int = 0
+    #: Probes answered (by unicast wherever the host bound that path).
+    probe_answers_sent: int = 0
     sent_rets: int = 0
     retransmissions: int = 0
     retransmissions_suppressed: int = 0
@@ -384,18 +389,20 @@ class COEntity:
         self._last_send_time: float = clock()
         self._flow_block_announced = False
         self._resident_high_water = 0
-        # Exponential backoff multiplier for probe heartbeats.  Probes are
-        # retries; retrying them at a fixed rate can congest receivers whose
-        # slowness caused the stall in the first place (their full buffers
-        # then advertise BUF=0, which keeps the prober's window shut — a
-        # self-sustaining storm).  Doubles per fruitless probe and resets
-        # only on *progress* — the needy backlog shrinking or a new
-        # acceptance — never on mere knowledge receipt: during cluster-wide
-        # convergence every heartbeat twitches some matrix entry, and a
-        # twitch-triggered reset pins every entity at the maximum probe
-        # rate, n² chatter that swamps the very receivers it is probing.
+        # Probe state (see :meth:`on_tick`).  A probe goes out after
+        # ``deferred_interval × _probe_backoff`` of *silence*: nothing sent
+        # (``_last_send_time``) and nothing learned — no acceptance, no AL
+        # or PAL cell raised — since ``_last_learned``.  The multiplier
+        # doubles per probe sent (cap 64) and resets only on *progress* — a
+        # new acceptance or a shrinking needy backlog (``_probe_load``) —
+        # never on mere knowledge receipt: during cluster-wide convergence
+        # every heartbeat twitches some matrix cell, and a twitch-triggered
+        # reset pins every member at the maximum probe rate, n² chatter that
+        # overruns the very receivers it is probing (whose full buffers then
+        # advertise BUF=0 and keep the prober's window shut).
         self._probe_backoff = 1
         self._probe_load = 0
+        self._last_learned: float = clock()
         self.counters = EntityCounters()
         #: Adaptive failure detection (docs/PROTOCOL.md §17).  ``None``
         #: keeps the fixed-timeout scan; the detector shares the engine's
@@ -632,19 +639,30 @@ class COEntity:
             # stays quiet this round (the frame header is the confirmation).
             self.counters.batch_flush_tick += 1
             self._flush_batch()
-        # While this entity is still waiting on the cluster — undrained
-        # logs, open gaps, or data blocked by the flow window — keep
-        # repeating the confirmation as a *probe* even if nothing changed:
-        # heartbeats are unsequenced, so a lost one is otherwise
-        # irreplaceable and the tail of the run would stall (a blocked
-        # sender additionally needs fresh BUF advertisements to reopen its
-        # window).  Probes back off exponentially while fruitless.
-        needy = self._needy
+        # The timer does two jobs under two rules (docs/PROTOCOL.md §7).
+        # "My vectors changed": whatever differs from the last confirmed
+        # vectors goes out as a plain confirmation once ``deferred_interval``
+        # has passed since the last transmission — needy or not, whatever
+        # the probe back-off: peers deliver on exactly these vectors.
         interval = self.config.deferred_interval
-        if needy:
+        if now - self._last_send_time >= interval:
+            self._send_confirmation(force=True)
+        # "I lost a heartbeat": heartbeats are unsequenced, so a lost one
+        # leaves no gap to detect, and a member still waiting on the
+        # cluster — undrained logs, open gaps, data blocked by the flow
+        # window (which needs fresh BUF advertisements to reopen) — must ask
+        # for repeats.  It *probes* (its own vectors verbatim, ``probe``
+        # set) only when stuck: needy, and silent — nothing sent, nothing
+        # learned — for the backed-off interval.  A member that is still
+        # learning is not stuck, its inbox is the bottleneck, and a probe
+        # would lengthen every inbox by its answers.  Liveness: AL, PAL and
+        # REQ only grow and traffic is finite, so a member that stays needy
+        # stops learning, the silence the probe waits for arrives, and the
+        # back-off is capped.
+        if self._needy:
             # Progress since the last look — a shrinking backlog — means the
             # cluster is answering; probe eagerly again.  (Acceptances also
-            # reset the backoff directly, so a *growing* backlog of freshly
+            # reset the back-off directly, so a *growing* backlog of freshly
             # accepted PDUs never reads as fruitlessness.)
             load = (
                 self.rrl.total + len(self.prl) + self.gaps.open_gaps
@@ -653,10 +671,9 @@ class COEntity:
             if load < self._probe_load:
                 self._probe_backoff = 1
             self._probe_load = load
-            interval *= self._probe_backoff
-        if now - self._last_send_time >= interval:
-            self._send_confirmation(force=True, resend=needy, probe=needy)
-            if needy:
+            quiet_since = max(self._last_send_time, self._last_learned)
+            if now - quiet_since >= interval * self._probe_backoff:
+                self._send_confirmation(force=True, resend=True, probe=True)
                 self._probe_backoff = min(self._probe_backoff * 2, 64)
         # Keepalives: with the membership extension on, silence must mean
         # death, so a healthy idle entity announces itself twice per
@@ -675,7 +692,7 @@ class COEntity:
             self.rrl.total == 0
             and not self.prl
             and self.gaps.open_gaps == 0
-            and all(not s for s in self._stash)
+            and self._stash_size == 0
         )
 
     @property
@@ -836,7 +853,8 @@ class COEntity:
         strategy's first-hop targets.  Only original transmissions route
         here — peer-specific repair answers go through
         :meth:`_send_repair`, and knowledge-carrying control PDUs
-        (digests, pulls, RET requests, heartbeats) flood regardless of
+        (digests, pulls, RET requests, heartbeats — a probe's answer
+        excepted, see :meth:`_answer_probe`) flood regardless of
         topology: they are the loss-recovery paths the relaying modes
         lean on, and any holder may answer them."""
         if self._strategy is None:
@@ -915,7 +933,7 @@ class COEntity:
                 if self._is_removed(member):
                     continue
                 self._merge_al(member, r.min_ack)
-                self.state.merge_pal(member, r.min_pack)
+                self._merge_pal(member, r.min_pack)
         if r.src != self.index and not self._is_removed(r.src):
             self.state.update_buf(r.src, r.buf)
         if admitted:
@@ -976,9 +994,17 @@ class COEntity:
         visit.
         """
         outcome = self.state.merge_al(observer, vector)
-        if outcome.dirty:
-            self._pack_dirty.update(outcome.dirty)
+        if outcome.changed:
+            self._last_learned = self.now
+            if outcome.dirty:
+                self._pack_dirty.update(outcome.dirty)
         return outcome
+
+    def _merge_pal(self, observer: int, vector: Sequence[int]) -> None:
+        """Fold a peer's PACK vector into PAL; every inbound PAL intake goes
+        through here so a raised cell counts as *learning* (probe rule)."""
+        if self.state.merge_pal(observer, vector).changed:
+            self._last_learned = self.now
 
     # ------------------------------------------------------------------
     # Data-PDU receipt: acceptance + failure condition (1)  (§4.2, §4.3)
@@ -1070,6 +1096,7 @@ class COEntity:
         if p.src != self.index:
             self._heard_from.add(p.src)
         self._probe_backoff = 1
+        self._last_learned = self.now
         resident = self.resident_pdus
         if resident > self._resident_high_water:
             self._resident_high_water = resident
@@ -1116,7 +1143,7 @@ class COEntity:
             # A removed member's knowledge must not advance anyone's state;
             # only its admitted (flushed-prefix) data PDUs count.
             return
-        self.state.merge_pal(b.src, b.pack)
+        self._merge_pal(b.src, b.pack)
         self._check_ack_gaps(b.ack, carrier=b.src)
         # The frame is a confirmation from its source, like a heartbeat.
         self._heard_from.add(b.src)
@@ -1461,7 +1488,7 @@ class COEntity:
         if h.view > self._peer_view[h.src]:
             self._peer_view[h.src] = h.view
         self._merge_al(h.src, h.ack)
-        self.state.merge_pal(h.src, h.pack)
+        self._merge_pal(h.src, h.pack)
         self.state.update_buf(h.src, h.buf)
         self._check_ack_gaps(h.ack, carrier=h.src)
         # Heartbeats count as "heard from" for the deferred-confirmation
@@ -1469,32 +1496,30 @@ class COEntity:
         self._heard_from.add(h.src)
         self._pack_action()
         self._maybe_confirm()
-        # Answer with a fresh heartbeat when the peer demonstrably needs
-        # one: either its vectors trail ours (it missed a confirmation —
-        # heartbeats are unsequenced, so loss leaves no gap to detect) or it
-        # is probing because it is stuck waiting for knowledge it cannot
-        # name (e.g. its minPAL lags because OUR last heartbeat to it was
-        # lost).  Rate-limited by the deferred window; the exchange
-        # converges once both sides drain.
-        # The O(1) rate limit goes first: most heartbeats land inside the
-        # deferred window, and the staleness scan is O(n).
-        if self.now - self._last_send_time >= self.config.deferred_interval and (
-            h.probe
-            or any(
-                h.ack[j] < self.state.req[j] or h.pack[j] < self._preack_floor[j]
-                for j in range(self.n)
-            )
+        if h.probe:
+            # The prober is stuck on knowledge it cannot name (e.g. its
+            # minPAL lags because OUR last heartbeat to it was lost): repeat
+            # our vectors to it, and to it alone.  Every probe is answered —
+            # the prober's back-off is the rate limit.  Whether it "trails
+            # us" cannot be read off the probe: its ``ack`` / ``pack`` are
+            # its own floors, not its copy of *our* row, so a prober that
+            # holds every PDU but lost our last heartbeat looks caught-up.
+            self._answer_probe(h.src)
+        elif self.now - self._last_send_time >= self.config.deferred_interval and any(
+            h.ack[j] < self.state.req[j] or h.pack[j] < self._preack_floor[j]
+            for j in range(self.n)
         ):
-            # Only an explicit probe bypasses the nothing-new suppression:
-            # the prober says it *lost* our last heartbeat, so repeat it.
-            # A merely-stale peer gets an answer only when our vectors
-            # changed since we last confirmed — otherwise every pairwise
-            # staleness during convergence triggers a full broadcast, and
-            # at large n the mutual answers swamp the receive buffers,
-            # whose overruns keep everyone stale: a self-sustaining
-            # confirmation storm (its victims still recover, via probes,
-            # but the tail is O(seconds) of redundant control traffic).
-            self._send_confirmation(force=True, resend=h.probe, probe=False)
+            # The peer's vectors trail ours — it missed a confirmation, and
+            # heartbeats are unsequenced, so loss leaves no gap to detect.
+            # (The O(1) rate limit goes first: most heartbeats land inside
+            # the deferred window, and the staleness scan is O(n).)  It is
+            # answered only when our vectors changed since we last
+            # confirmed: repeating unchanged ones for every pairwise
+            # staleness during convergence is a broadcast per heartbeat, and
+            # at large n the mutual answers overrun the receive buffers,
+            # which keeps everyone stale — a self-sustaining storm.  A peer
+            # that lost our *last* confirmation stays needy and probes.
+            self._send_confirmation(force=True)
         if h.view < self.view:
             # The peer missed a view installation (its heartbeat still
             # announces the old view): re-send the install, rate-limited.
@@ -2114,7 +2139,7 @@ class COEntity:
             return
         # Bystanders fold the sponsor's vectors as ordinary knowledge.
         self._merge_al(s.src, s.ack)
-        self.state.merge_pal(s.src, s.pack)
+        self._merge_pal(s.src, s.pack)
         self.state.update_buf(s.src, s.buf)
         self._check_ack_gaps(s.ack, carrier=s.src)
         self._pack_action()
@@ -2238,7 +2263,20 @@ class COEntity:
             and pack == self._last_confirmed_pack
         ):
             return
-        hb = HeartbeatPdu(
+        hb = self._heartbeat(req, pack, probe)
+        self._last_confirmed_req = req
+        self._last_confirmed_pack = pack
+        self._heard_from.clear()
+        self._last_send_time = self.now
+        self._send(hb)
+
+    def _heartbeat(self, req: Tuple[int, ...], pack: Tuple[int, ...], probe: bool) -> HeartbeatPdu:
+        """Build, count and trace one heartbeat frame about to be sent."""
+        self.counters.sent_heartbeats += 1
+        if probe:
+            self.counters.probes_sent += 1
+        self._trace.record(self.now, "heartbeat", self.index, probe=probe)
+        return HeartbeatPdu(
             cid=self.config.cluster_id,
             src=self.index,
             ack=req,
@@ -2250,13 +2288,27 @@ class COEntity:
             probe=probe,
             view=self.view,
         )
-        self.counters.sent_heartbeats += 1
-        self._trace.record(self.now, "heartbeat", self.index)
-        self._last_confirmed_req = req
-        self._last_confirmed_pack = pack
-        self._heard_from.clear()
-        self._last_send_time = self.now
-        self._send(hb)
+
+    def _answer_probe(self, to: int) -> None:
+        """Repeat our current vectors to the member that probed.
+
+        The answer is a unicast and *not* a confirmation: one member was
+        told, not the cluster, so the confirmation bookkeeping
+        (``_last_confirmed_*``, ``_heard_from``, ``_last_send_time``) stays
+        as it was and the next changed vector is still broadcast.  A host
+        that bound no unicast path cannot tell one member: it repeats to
+        all, which is a confirmation and rate-limited like one.
+        """
+        if self.joining or self.config.strict_paper_mode:
+            return  # neither speaks heartbeats (see _send_confirmation)
+        if self._unicast_fn is not None:
+            self.counters.probe_answers_sent += 1
+            self._unicast(to, self._heartbeat(
+                self.state.req_vector(), tuple(self._preack_floor), probe=False,
+            ))
+        elif self.now - self._last_send_time >= self.config.deferred_interval:
+            self.counters.probe_answers_sent += 1
+            self._send_confirmation(force=True, resend=True)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -2340,7 +2392,7 @@ class COEntity:
             and self.gaps.open_gaps == 0
             and self.rrl.total == 0
             and not self.prl
-            and all(not s for s in self._stash)
+            and self._stash_size == 0
             and self._round is None
             and not self.joining
         )

@@ -34,6 +34,8 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 CATEGORIES = (
     "submit",        # application handed data to the service
     "broadcast",     # a PDU was handed to the network
+    "unicast",       # a PDU was handed to the network for one destination
+    "batch",         # an open batch frame was flushed to the wire
     "drop",          # a PDU was lost (buffer overrun or injected loss)
     "accept",        # acceptance action ran (PDU entered RRL)
     "duplicate",     # a retransmitted copy of an already-accepted PDU arrived
@@ -49,6 +51,8 @@ CATEGORIES = (
     "suspect",       # an entity was suspected crashed (membership extension)
     "unsuspect",     # a suspected entity spoke and was re-included
     "crash",         # a host was crashed by the experiment script
+    "pause",         # a host was frozen by the experiment script (GC pause)
+    "resume",        # a paused host was unfrozen
     "restart",       # a crashed host was restarted as a rejoining incarnation
     "view-propose",  # a view-change round was proposed (coordinator)
     "view-agree",    # this entity countersigned a proposed view
@@ -64,6 +68,7 @@ CATEGORIES = (
     "pull-serve",    # a pull's ranges were answered from resident stores
     "delta",         # a delta-sync burst was pushed to a straggler
     "stash-drop",    # an evicted member's unserviceable stash was discarded
+    "bridge_failover",  # a group's bridge role moved to another member (§18)
 )
 
 

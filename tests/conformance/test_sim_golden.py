@@ -1,10 +1,13 @@
 """Conformance: the simulator is bit-for-bit deterministic across perf PRs.
 
-Three seeded runs are pinned to literals captured on the commit *before*
-the per-copy path of the simulator stack was rewritten (ISSUE 20): the
-number of kernel events, the final simulated clock, every network counter,
-the per-category trace census and a SHA-256 over each host's
-``(src, seq, delivered_at)`` sequence.  A perf change to ``sim/``, ``net/``
+Three seeded runs are pinned to literals: the number of kernel events, the
+final simulated clock, every network counter, the per-category trace census
+and a SHA-256 over each host's ``(src, seq, delivered_at)`` sequence.
+``jitter`` is as captured on the commit *before* the per-copy path of the
+simulator stack was rewritten (ISSUE 20); ``lossy`` and ``overrun`` were
+re-captured when the probe / answer plane was replaced (ISSUE 21: probes
+only when stuck, answers unicast to the prober) — the loss-free ``jitter``
+run sends no probe and did not move.  A perf change to ``sim/``, ``net/``
 or ``core/cluster.py`` that reorders one same-instant event, draws one RNG
 value out of order or shifts one arrival by an ulp fails here, in tier-1,
 not only in the end-to-end comparison.
@@ -94,43 +97,43 @@ GOLDEN = {
             'a87ddef4b68f47e4a22b1b4ad9ddf45ce0cac81af2521442e36a47a1c063c50c',
     },
     'lossy': {
-        'events_executed': 1808,
+        'events_executed': 1678,
         'now': 0.033603999999999995,
         'overruns': 0,
         'network': {
-            'batch_frames': 0, 'batched_data_pdus': 0, 'broadcasts': 114,
-            'bytes_sent': 204988, 'control_pdus': 71, 'copies_delivered': 756,
-            'copies_dropped': 42, 'copies_duplicated': 0, 'copies_sent': 798,
-            'data_pdus': 43, 'unicasts': 0,
+            'batch_frames': 0, 'batched_data_pdus': 0, 'broadcasts': 102,
+            'bytes_sent': 199388, 'control_pdus': 73, 'copies_delivered': 691,
+            'copies_dropped': 37, 'copies_duplicated': 0, 'copies_sent': 728,
+            'data_pdus': 43, 'unicasts': 14,
         },
         'trace': {
-            'accept': 256, 'ack': 256, 'broadcast': 114, 'deliver': 256,
-            'drop': 42, 'duplicate': 62, 'gap': 148, 'gauge': 32,
-            'heartbeat': 54, 'preack': 256, 'ret': 17, 'retransmit': 11,
-            'stash': 9, 'submit': 32,
+            'accept': 256, 'ack': 256, 'broadcast': 102, 'deliver': 256,
+            'drop': 37, 'duplicate': 62, 'gap': 148, 'gauge': 32,
+            'heartbeat': 56, 'preack': 256, 'ret': 17, 'retransmit': 11,
+            'stash': 9, 'submit': 32, 'unicast': 14,
         },
         'deliveries_sha256':
-            '2b7491957afeca0e4e058c670ba173c70f513981869d92add9bb572fc0c9188f',
+            'b9e605e5b7c59886098b382ec83325494486acdb08d9983dde65e92c4b918212',
     },
     'overrun': {
-        'events_executed': 47116,
+        'events_executed': 38420,
         'now': 0.10921299999999995,
-        'overruns': 182,
+        'overruns': 12,
         'network': {
-            'batch_frames': 0, 'batched_data_pdus': 0, 'broadcasts': 1248,
-            'bytes_sent': 6139812, 'control_pdus': 972,
-            'copies_delivered': 22529, 'copies_dropped': 1183,
-            'copies_duplicated': 0, 'copies_sent': 23712, 'data_pdus': 276,
-            'unicasts': 0,
+            'batch_frames': 0, 'batched_data_pdus': 0, 'broadcasts': 963,
+            'bytes_sent': 5255256, 'control_pdus': 1449,
+            'copies_delivered': 18096, 'copies_dropped': 955,
+            'copies_duplicated': 0, 'copies_sent': 19051, 'data_pdus': 268,
+            'unicasts': 754,
         },
         'trace': {
-            'accept': 1200, 'ack': 1200, 'broadcast': 1248, 'deliver': 1200,
-            'drop': 1365, 'duplicate': 3787, 'gap': 9397, 'gauge': 260,
-            'heartbeat': 765, 'preack': 1200, 'ret': 207, 'retransmit': 216,
-            'stash': 54, 'submit': 60,
+            'accept': 1200, 'ack': 1200, 'broadcast': 963, 'deliver': 1200,
+            'drop': 967, 'duplicate': 3685, 'gap': 8518, 'gauge': 260,
+            'heartbeat': 1243, 'preack': 1200, 'ret': 206, 'retransmit': 208,
+            'stash': 54, 'submit': 60, 'unicast': 754,
         },
         'deliveries_sha256':
-            '164e007373af143824a19805dd748d012b2d6a10543c5dda8fd61d5c2c052392',
+            '3a216192a4a5282c0fe11ad33994f432e70d21d7656adc5adfee1a59ba48c9d0',
     },
 }
 

@@ -1,6 +1,6 @@
 """Shared test fixtures and helpers."""
 
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Tuple
 
 import pytest
 
@@ -15,14 +15,18 @@ class EngineDriver:
 
     Captures everything the engine sends (``driver.sent``, with typed
     accessors) and delivers (``driver.delivered``), and provides a manual
-    clock (``driver.clock``).
+    clock (``driver.clock``).  ``unicast=True`` also binds a point-to-point
+    path, as every shipped host does; its ``(dst, pdu)`` pairs land in
+    ``driver.unicasts``.
     """
 
     def __init__(self, index: int, n: int, config: Optional[ProtocolConfig] = None,
-                 trace: Optional[TraceLog] = None, buf: int = 10 ** 6):
+                 trace: Optional[TraceLog] = None, buf: int = 10 ** 6,
+                 unicast: bool = False):
         self.clock = 0.0
         self.trace = trace if trace is not None else TraceLog()
         self.sent: List[Any] = []
+        self.unicasts: List[Tuple[int, Any]] = []
         self.delivered: List[DeliveredMessage] = []
         self.engine = COEntity(
             index, n,
@@ -31,7 +35,13 @@ class EngineDriver:
             trace=self.trace,
             advertised_buf=lambda: buf,
         )
-        self.engine.bind(send=self.sent.append, deliver=self.delivered.append)
+        self.engine.bind(
+            send=self.sent.append, deliver=self.delivered.append,
+            unicast=(
+                (lambda dst, pdu: self.unicasts.append((dst, pdu)))
+                if unicast else None
+            ),
+        )
 
     # ------------------------------------------------------------------
     # Driving

@@ -1,7 +1,7 @@
 """Unit tests for deferred confirmation, heartbeats and strict paper mode."""
 
 from repro.core.config import ConfirmationMode, ProtocolConfig
-from repro.core.pdu import HeartbeatPdu
+from repro.core.pdu import BatchPdu, HeartbeatPdu
 from tests.conftest import EngineDriver, make_pdu
 
 
@@ -44,11 +44,18 @@ def test_pending_data_takes_priority_over_heartbeat(driver):
 def test_data_pdu_resets_confirmation_state(driver):
     driver.receive(make_pdu(1, 1, (1, 1, 1)))
     driver.submit("x")  # carries ack (1->2) for E1's PDU
-    driver.tick(dt=driver.engine.config.deferred_interval + 1e-9)
-    # Nothing new since the data PDU went out, but the engine still holds
-    # undrained state (its own PDU and E1's await pre-ack), so the timer
-    # emits a *probe* heartbeat rather than staying silent.
-    assert [hb.probe for hb in driver.heartbeats_sent] == [True]
+    interval = driver.engine.config.deferred_interval + 1e-9
+    driver.tick(dt=interval)
+    # The data PDU confirmed REQ as it stood *before* its own
+    # self-acceptance (Table 1's ACK_self = SEQ convention), so the timer's
+    # first heartbeat carries a changed vector: a plain confirmation.
+    assert [hb.probe for hb in driver.heartbeats_sent] == [False]
+    assert driver.heartbeats_sent[0].ack == (2, 2, 1)
+    # Nothing new after that, but the engine still holds undrained state
+    # (its own PDU and E1's await pre-ack): one quiet interval later the
+    # timer emits a *probe* rather than staying silent.
+    driver.tick(dt=interval)
+    assert [hb.probe for hb in driver.heartbeats_sent] == [False, True]
 
 
 def test_immediate_mode_confirms_every_receipt():
@@ -99,12 +106,18 @@ def test_probe_flag_on_stuck_resend(driver):
 
 
 def test_probe_answered_with_fresh_heartbeat(driver):
-    # A drained entity answers a probe so the prober can catch up.
+    # A drained entity answers a probe so the prober can catch up.  This
+    # driver binds no unicast path, so the answer is a broadcast — and a
+    # broadcast is a confirmation, booked and rate-limited like one.
     probe = HeartbeatPdu(cid=1, src=2, ack=(1, 1, 1), pack=(1, 1, 1), buf=10**6, probe=True)
     driver.clock = 1.0  # past the rate limit
     driver.receive(probe)
     assert len(driver.heartbeats_sent) == 1
     assert driver.heartbeats_sent[0].probe is False
+    assert driver.engine._last_send_time == 1.0
+    assert driver.engine.counters.probe_answers_sent == 1
+    driver.receive(probe)  # inside the deferred window: not repeated
+    assert len(driver.heartbeats_sent) == 1
 
 
 def test_stale_peer_answered(driver):
@@ -128,3 +141,157 @@ def test_heartbeat_merges_pal(driver):
     hb = HeartbeatPdu(cid=1, src=1, ack=(1, 1, 1), pack=(1, 3, 2), buf=10**6)
     driver.receive(hb)
     assert driver.engine.state.pal[1] == [1, 3, 2]
+
+
+# ----------------------------------------------------------------------
+# The timer's two rules (docs/PROTOCOL.md §7): "my vectors changed" goes out
+# every deferred interval whatever the back-off; "I lost a heartbeat" — the
+# probe — waits for silence.  Power-of-two intervals keep the manual clock's
+# arithmetic exact, so the schedules below are asserted to the tick.
+# ----------------------------------------------------------------------
+TICK = 2.0 ** -10
+INTERVAL = 2 * TICK
+TIMED = ProtocolConfig(deferred_interval=INTERVAL, tick_interval=TICK)
+
+
+def _hb(src, ack, pack, probe=False):
+    return HeartbeatPdu(cid=1, src=src, ack=ack, pack=pack, buf=10**6, probe=probe)
+
+
+def _tick_until(drv, condition, limit=1000):
+    for _ in range(limit):
+        if condition():
+            return
+        drv.tick(dt=TICK)
+    raise AssertionError("condition never held")
+
+
+def test_silent_needy_member_probes_with_capped_doubling_backoff():
+    drv = EngineDriver(0, 3, TIMED)
+    drv.submit("x")  # own PDU awaits pre-acknowledgment: needy from here on
+    sent_at = []
+    for _ in range(400):
+        before = len(drv.heartbeats_sent)
+        drv.tick(dt=TICK)
+        sent_at += [drv.clock] * (len(drv.heartbeats_sent) - before)
+    # The self-accepted REQ goes out first, plain; every repeat is a probe.
+    assert [hb.probe for hb in drv.heartbeats_sent] == [False] + [True] * 8
+    gaps = [(b - a) / INTERVAL for a, b in zip(sent_at, sent_at[1:])]
+    assert gaps == [1, 2, 4, 8, 16, 32, 64, 64]
+    assert drv.engine.counters.probes_sent == 8
+    assert [r.get("probe") for r in drv.trace.select("heartbeat")] == (
+        [False] + [True] * 8
+    )
+
+
+def test_changed_vector_is_not_held_by_the_probe_backoff():
+    """The 82 ms bug: a backed-off prober pre-acknowledges a PDU; peers wait
+    on exactly that PACK vector, so it must not wait for the probe timer."""
+    drv = EngineDriver(0, 3, TIMED)
+    drv.submit("x")
+    drv.receive(_hb(1, (2, 1, 1), (1, 1, 1)))  # E1 holds x; E2 stays silent
+    _tick_until(drv, lambda: drv.engine._probe_backoff == 64)
+    sent = len(drv.heartbeats_sent)
+    assert drv.heartbeats_sent[-1].probe
+    drv.tick(dt=TICK)
+    # E2's confirmation completes the PACK condition: x moves RRL -> PRL
+    # (backlog size unchanged, nothing accepted: the back-off stays put).
+    # Rule 1 does not fire (E1 was not heard since the last probe) and E2
+    # does not trail us, so nothing event-driven goes out.
+    drv.receive(_hb(2, (2, 1, 1), (2, 1, 1)))
+    assert drv.engine._preack_floor == [2, 1, 1]
+    assert drv.engine._probe_backoff == 64
+    assert len(drv.heartbeats_sent) == sent
+    changed_at = drv.clock
+    _tick_until(drv, lambda: len(drv.heartbeats_sent) > sent)
+    assert drv.clock - changed_at <= INTERVAL + TICK
+    hb = drv.heartbeats_sent[-1]
+    assert hb.pack == (2, 1, 1) and not hb.probe
+
+
+def test_learning_member_confirms_but_does_not_probe():
+    drv = EngineDriver(0, 3, TIMED)
+    rounds = 40
+    for seq in range(1, rounds + 1):
+        drv.receive(make_pdu(2, seq, (1, 1, seq)))
+    # Every tick E1 reports one more of E2's PDUs accepted: an AL cell rises,
+    # one PDU is pre-acknowledged, our PACK vector changes.  Needy all along
+    # (nothing is acknowledged) — and never stuck.
+    for seq in range(1, rounds + 1):
+        drv.receive(_hb(1, (1, 1, seq + 1), (1, 1, 1)))
+        drv.tick(dt=TICK)
+        assert drv.engine._needy
+    assert len(drv.heartbeats_sent) >= rounds // 2
+    assert drv.engine.counters.probes_sent == 0
+    # Then silence: the last change goes out plain, one quiet interval
+    # later the first probe follows.
+    learned_at = drv.clock
+    _tick_until(drv, lambda: drv.engine.counters.probes_sent == 1)
+    assert drv.clock - learned_at <= 2 * INTERVAL + TICK
+    assert [hb.probe for hb in drv.heartbeats_sent[-2:]] == [False, True]
+
+
+def test_probe_backoff_resets_on_progress_only():
+    drv = EngineDriver(0, 3, TIMED)
+    drv.submit("x")
+    drv.submit("y")
+    _tick_until(drv, lambda: drv.engine._probe_backoff == 8)
+    # Learning is not progress: E1 reports x accepted, an AL cell rises,
+    # nothing moves — a reset here is the n-squared "twitch" storm.
+    drv.receive(_hb(1, (2, 1, 1), (1, 1, 1)))
+    drv.tick(dt=TICK)
+    assert drv.engine._probe_backoff >= 8
+    # A shrinking backlog is: x is acknowledged everywhere and leaves.
+    drv.receive(_hb(1, (2, 1, 1), (2, 1, 1)))
+    drv.receive(_hb(2, (2, 1, 1), (2, 1, 1)))
+    assert drv.delivered_payloads == ["x"]
+    drv.tick(dt=TICK)
+    assert drv.engine._probe_backoff == 1
+    # So is an acceptance, at once.
+    _tick_until(drv, lambda: drv.engine._probe_backoff == 4)
+    drv.receive(make_pdu(1, 1, (3, 1, 1)))
+    assert drv.engine._probe_backoff == 1
+
+
+def test_probe_answer_is_one_unicast_and_not_a_confirmation():
+    drv = EngineDriver(0, 4, unicast=True)
+    engine = drv.engine
+    drv.receive(make_pdu(1, 1, (1, 1, 1, 1)))  # REQ moved, not yet confirmed
+    drv.clock = 1.0
+    drv.receive(_hb(2, (1, 1, 1, 1), (1, 1, 1, 1), probe=True))
+    # One frame, to the prober alone, carrying the current vectors.
+    assert drv.sent == []
+    [(dst, answer)] = drv.unicasts
+    assert dst == 2 and answer.probe is False
+    assert (answer.ack, answer.pack) == ((1, 2, 1, 1), (1, 1, 1, 1))
+    assert (answer.buf, answer.view) == (10 ** 6, engine.view)
+    assert engine.counters.probe_answers_sent == 1
+    assert engine.counters.sent_heartbeats == 1
+    # One member was told, not the cluster: the bookkeeping is untouched...
+    assert engine._last_confirmed_req == (1, 1, 1, 1)
+    assert engine._last_confirmed_pack == (1, 1, 1, 1)
+    assert engine._last_send_time == 0.0
+    assert engine._heard_from == {1, 2}
+    # ...every probe is answered (the prober's back-off is the rate limit)...
+    drv.receive(_hb(2, (1, 1, 1, 1), (1, 1, 1, 1), probe=True))
+    assert len(drv.unicasts) == 2 and drv.sent == []
+    # ...and the changed vector is still broadcast at the next tick.
+    drv.tick()
+    [confirmation] = drv.heartbeats_sent
+    assert confirmation.ack == (1, 2, 1, 1) and confirmation.probe is False
+    assert engine._last_confirmed_req == (1, 2, 1, 1)
+
+
+def test_open_batch_is_flushed_before_a_probe_answer():
+    drv = EngineDriver(0, 3, ProtocolConfig(batch_max_pdus=4))
+    wire = []
+    drv.engine.bind(
+        send=wire.append, deliver=drv.delivered.append,
+        unicast=lambda dst, pdu: wire.append((dst, pdu)),
+    )
+    drv.submit("x")  # accumulates; the answer's ACK vector will cover it
+    assert wire == []
+    drv.receive(_hb(2, (1, 1, 1), (1, 1, 1), probe=True))
+    frame, (dst, answer) = wire
+    assert isinstance(frame, BatchPdu) and frame.seqs == (1,)
+    assert dst == 2 and answer.ack == (2, 1, 1)

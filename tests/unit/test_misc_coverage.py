@@ -78,19 +78,45 @@ class TestEngineMisc:
 class TestTraceVocabulary:
     def test_engine_categories_are_declared(self):
         """Every category the stack emits appears in the documented
-        vocabulary, so trace consumers can rely on CATEGORIES."""
+        vocabulary, so trace consumers can rely on CATEGORIES.  A ring
+        cluster with batching on and one pause / resume, so the relay
+        unicasts, batch flushes and host freezes are seen too."""
         from repro.core.cluster import build_cluster
+        from repro.core.config import DisseminationMode, ProtocolConfig
         from repro.net.loss import BernoulliLoss
         from repro.sim.rng import RngRegistry
 
         cluster = build_cluster(
             3, loss=BernoulliLoss(0.2, protect_control=True),
             rngs=RngRegistry(3),
+            config=ProtocolConfig(
+                dissemination=DisseminationMode.RING, batch_max_pdus=4,
+            ),
         )
         for k in range(8):
             cluster.submit(k % 3, f"m{k}")
+        cluster.pause(2)
+        cluster.run_for(5e-3)
+        cluster.resume(2)
         cluster.run_until_quiescent(max_time=30.0)
         emitted = {record.category for record in cluster.trace}
+        assert {"unicast", "batch", "pause", "resume"} <= emitted
+        assert emitted <= set(CATEGORIES)
+
+    def test_every_record_call_site_is_declared(self):
+        """Static twin of the above: every literal category handed to a
+        ``record(`` call anywhere under ``src/repro`` is in CATEGORIES —
+        a run only proves it for the paths it happened to drive."""
+        import re
+        from pathlib import Path
+
+        import repro
+
+        call = re.compile(r'\brecord\(\s*(?:[\w.()]+\s*,\s*)?"([a-z][a-z_-]*)"')
+        emitted = set()
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            emitted.update(call.findall(path.read_text()))
+        assert len(emitted) > 30  # the pattern still finds the call sites
         assert emitted <= set(CATEGORIES)
 
 
