@@ -12,8 +12,17 @@
 
 from repro.harness.comparison import ComparisonReport, compare_protocols
 from repro.harness.runner import ExperimentConfig, ExperimentResult, run_experiment
-from repro.harness.soak import SoakReport, run_soak
 from repro.harness.sweeps import sweep
+
+
+def __getattr__(name: str):
+    # ``soak`` is also a ``python -m`` entry point: importing it here, with
+    # the package, makes runpy warn that it is in sys.modules before it runs.
+    if name in ("SoakReport", "run_soak"):
+        from repro.harness import soak
+
+        return getattr(soak, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "ComparisonReport",

@@ -369,309 +369,27 @@ artifact with shape assertions.
 """
 
 
-EXPERIMENTS_FOOTER = """\
-
-## Benchmark-regression harness
-
-``benchmarks/regression.py`` measures the PACK/ACK hot path and pins the
-numbers in ``BENCH_hotpath.json`` (repository root) so any PR can be held
-against a committed baseline:
-
-```
-python benchmarks/regression.py                 # full run, rewrites BENCH_hotpath.json
-python benchmarks/regression.py --smoke         # CI-sized run (n <= 8, short streams)
-python benchmarks/regression.py --compare       # re-measure, fail on >15% regression
-python benchmarks/regression.py --compare OLD.json --threshold 0.10
-```
-
-Per point the report records, at each n in {4, 8, 16, 32}:
-
-* ``engine[].per_pdu_us`` — ``COEntity.on_pdu`` wall time per PDU
-  (min-of-repeats) on a *saturation* stream whose ACK vectors trail the
-  send rounds, keeping O(n·lag) PDUs resident — the regime where a
-  super-linear hot path shows up as a cost wall;
-* ``engine[].resident_high_water`` / ``experiments[].resident_high_water``
-  — peak resident PDUs (the §5 buffer-bound metric);
-* ``experiments[].deliveries_per_sec`` and ``per_pdu_us`` — whole-cluster
-  ``run_experiment`` throughput (bench_scale shape), best-of-repeats, with
-  the §2.3 ordering oracle (``repro.ordering.checker.verify_run``)
-  asserted on **every** run;
-* ``*.hot_path`` — scan-efficiency ratios from the engine counters
-  (``pack_source_scans_per_accept``, ``cpi_fast_append_ratio``,
-  ``dep_blocks_per_preack``; see ``repro.metrics.collector.hot_path_stats``);
-* ``batching[]`` — the frame-economy axis (docs/PROTOCOL.md §14): the same
-  bursty seeded stream at ``batch_max_pdus`` ∈ {1, 8} on fast-modelled
-  hosts, recording ``frames_per_delivered_pdu`` (every frame on the wire,
-  data and control, divided by application deliveries), ``per_pdu_us``,
-  ``batch_frames`` / ``batched_data_pdus`` / ``acks_coalesced``;
-* ``topology[]`` — the dissemination axis (docs/PROTOCOL.md §16): the
-  same congested seeded workload once per mode ∈ {flood, ring, gossip}
-  at n ∈ {8, 32}, recording ``copies_per_delivered_pdu``
-  (per-destination datagram copies — a broadcast counts n-1, a relay
-  unicast counts 1, so flood fan-out and relay routes compare on equal
-  footing), ``per_pdu_us``, ``relays_sent`` / ``relay_forwards``; the
-  ordering oracle is asserted on every cell, and ``topology_gate`` fails
-  the run outright if ring stops beating flood at n ≥ 16;
-* ``hierarchy[]`` / ``hierarchy_engine[]`` — the sharding axis
-  (docs/PROTOCOL.md §18), two regimes.  The cluster cells drive one
-  fixed aggregate workload (256 messages total, send interval scaled
-  with n so the cluster-wide offered rate is constant) through flat
-  cells at n ∈ {8, 32} and hierarchical cells (``group_size = 8``) at
-  n ∈ {64, 256}, recording ``deliveries_per_sec`` and ``per_pdu_us``
-  (mean engine ``on_pdu`` wall time across every host, send-path
-  fan-out included, gc parked, cells measured in interleaved repeats —
-  see DESIGN.md §14); every cell asserts full convergence before
-  reporting.  The engine cells run the saturation stream through a
-  rostered group-view engine (the member's actual engine at global
-  n ∈ {64, 256}) next to flat n ∈ {8, 32, 256} reference engines in
-  the same interleaved window.  ``hierarchy_gate`` fails the run if a
-  sharded member engine drifts past 1.3x the flat n = 8 engine or
-  stops beating every larger flat engine, or if a sharded cluster cell
-  stops out-delivering the flat n = 32 cluster.  At the committed
-  baseline the n = 256 member engine measures 32.0 us/PDU — 1.00x the
-  flat n = 8 engine (31.9), 30% below the flat n = 32 engine (45.9)
-  and 6.6x below the flat n = 256 engine (211.1, resident high-water
-  16575 vs the member's 455) — and the sharded cluster cells at
-  n = 64/256 deliver ~1950 deliveries/s, 1.85x the flat n = 32
-  cluster's 1051;
-* ``suites`` — pass/fail of the pytest-benchmark suites (``bench_micro``,
-  ``bench_fig8_processing``, ``bench_scale``).
-
-``--compare`` pairs points by ``n`` (and ``batch`` / ``mode`` /
-``group_size``, for the batching, topology and hierarchy axes)
-and fails (exit 1) when a tracked metric regresses beyond ``--threshold``
-(default 15%): per-PDU times, resident high-water, frames and copies per
-delivered PDU must not rise, deliveries/sec must not fall.
-Re-baselining: run the full mode on a quiet machine and commit the new
-``BENCH_hotpath.json`` together with the change that justifies the shift.
-
-## Run-to-completion datagram path (end-to-end bench, before/after)
-
-``benchmarks/e2e`` (``BENCHMARK.json``) is the claim baseline for the
-runtimes.  ISSUE 13 replaced the UDP runtime's receive/send plumbing with a
-run-to-completion path (DESIGN.md §15).  Parent = commit ``6fd10b4``;
-both sides measured with identical harness code,
-``python3 benchmarks/e2e/run.py --workload W --seed S --seconds 25
---trace 0``, parent and change alternating which runs first, seeds 61–70
-(none used while the change was written), one 2-core host.  Cells are
-medians over the pairs; [q1–q3] are the parent's quartiles.
-
-```
-workload    metric                  parent [q1–q3]           change     change/parent  change better in
-udp_bulk    goodput_msgs_per_s      2322  [2204–2457]        3992       1.72           10/10 pairs
-udp_bulk    deliver_p50_ms          50.3  [47.1–54.4]        27.6       0.55           10/10
-udp_bulk    deliver_p95_ms          69.8  [63.4–72.8]        39.5       0.57           10/10
-udp_bulk    cpu_us_per_delivery     104.7 [100.2–111.5]      61.4       0.59           10/10
-udp_bulk    wire_frames_per_msg     5.42  [5.13–5.92]        3.50       0.65           10/10
-udp_bulk    peak_rss_mb             138.5 [134.0–145.9]      129.7      0.94           8/10
-udp_bulk    setup_s                 0.171 [0.161–0.202]      0.195      1.14           6/10   (unresolved: inside the parent's own spread)
-udp_steady  goodput_msgs_per_s      400.0                    400.0      1.00           offered rate, both
-udp_steady  deliver_p50_ms          2.23  [2.00–2.56]        1.78       0.80           5/5
-udp_steady  deliver_p95_ms          4.30  [3.05–4.80]        2.47       0.57           5/5
-udp_steady  cpu_us_per_delivery     436.8 [373.8–489.4]      326.9      0.75           5/5
-udp_steady  wire_frames_per_msg     23.58 [23.20–23.70]      23.66      1.00           protocol floor ~24
-udp_steady  peak_rss_mb             47.25                    47.18      1.00
-udp_lossy   goodput_msgs_per_s      399.7                    399.6      1.00           offered rate, both
-udp_lossy   deliver_p50_ms          4.81  [4.76–4.92]        4.48       0.93           5/5
-udp_lossy   deliver_p95_ms          11.77 [11.55–11.96]      10.83      0.92           5/5
-udp_lossy   cpu_us_per_delivery     290.0 [286.1–303.3]      262.6      0.91           5/5
-udp_lossy   wire_frames_per_msg     17.07 [16.92–17.11]      17.87      1.05           0/5    (worse, inside the 20 % bound)
-udp_lossy   peak_rss_mb             46.71                    47.18      1.01           0/5    (worse, inside the 25 % bound)
-sim_wide    deliver_p50_ms          139.4                    139.4      equal to the last digit, 3/3 seeds
-sim_wide    deliver_p95_ms          166.8                    166.8      equal to the last digit, 3/3 seeds
-sim_wide    wire_frames_per_msg     634.8                    634.8      equal to the last digit, 3/3 seeds
-sim_wide    cpu_us_per_delivery     599.6 [579.9–613.4]      518.3      0.86           3/3
-sim_wide    peak_rss_mb             83.72                    83.75      1.00
-```
-
-``failed`` = 0 in all 46 runs.  The ten ``udp_bulk`` pairs ran during one of
-the host's slow episodes (benchmarks/e2e/README.md describes them): a
-single pair at seed 51 an hour earlier gave 2 827 → 5 174 msg/s (1.83×),
-88 → 48 µs per delivery, 163 → 150 MiB.  The ratio, not the absolute
-rate, is what repeats.  ``udp_lossy``'s +5 % frames per message comes with
-the tick fix: ``sleep(interval)`` made the real period ``interval +
-lateness`` (7 385 engine ticks in a 5 s traced repeat), absolute deadlines
-make it the configured 2 ms (9 954), and RET / probe timers that fire on
-tick granularity fire ~10 % sooner — which is also where its latency gain
-comes from.  ``sim_wide`` imports nothing under ``runtime/``; its CPU gain
-is the two engine changes that rode along (``_on_heartbeat`` tests the O(1)
-rate limit before the O(n) staleness scan; ``_maybe_confirm`` caches
-``members − {self} − suspected``).
-
-The ``--trace 1`` ledger rows that paid for it (one traced 5 s repeat per
-cell, seed 61; shares are of process CPU time):
-
-```
-workload    row                              parent     change
-udp_bulk    loop.busy_share                  0.218      0.148
-udp_bulk    udp.busy_share                   0.102      0.076
-udp_bulk    entity.busy_share                0.352      0.410
-udp_bulk    entity.control_frames_per_msg    0.80       0.24
-udp_bulk    udp.datagrams_per_msg            5.40       3.73
-udp_bulk    udp.inbox_depth_max              1          32
-udp_bulk    host.tick_late_ms_p99            3.0        13.5   (2.5–3.3 over four traced repeats vs 6.3–13.5 over three)
-udp_bulk    ledger.coverage                  0.99       1.06
-udp_steady  loop.busy_share                  0.231      0.216
-udp_steady  udp.busy_share                   0.147      0.132
-udp_steady  entity.control_frames_per_msg    6.96       6.96
-udp_steady  udp.inbox_depth_max              1          11
-udp_steady  host.tick_late_ms_p99            1.35       0.89
-udp_lossy   loop.busy_share                  0.227      0.203
-udp_lossy   udp.busy_share                   0.132      0.123
-udp_lossy   entity.control_frames_per_msg    4.34       4.79
-udp_lossy   udp.inbox_depth_max              1          15
-udp_lossy   host.tick_late_ms_p99            2.08       0.96
-sim_wide    entity.busy_share                0.320      0.266
-sim_wide    entity.control_frames_per_msg    19.43      19.43
-sim_wide    loop / udp / host rows           0          0      (no socket, no asyncio)
-```
-
-The saving is where it was claimed: on ``udp_bulk`` the loop and udp shares
-fall by a third while 1.7× the messages pass, and three quarters of the
-heartbeats are gone because confirmations ride on data.  One row moved the
-wrong way and is reported as such: ``host.tick_late_ms_p99`` on
-``udp_bulk``.  With four members taking turns of up to 32 datagrams in one
-loop, a tick waits for a whole iteration (median 2.9 ms, p99 7.3 ms
-untraced), where the old path's iterations carried one datagram per member;
-the burst budget does not move it between 8 and 64 (DESIGN.md §15).  On the
-open-loop workloads, where the loop is mostly idle, deadline ticks are
-*less* late than sleeping ones.  ``trace.*`` rows are non-zero again with
-the bounded default recorder (``trace.records`` 2.6e5 on ``udp_bulk``):
-``FlightRecorder`` no longer overrides ``TraceLog.record``.
-
-## A cheap simulator (end-to-end bench, before/after)
-
-ISSUE 20 replaced the per-copy path of the simulator stack — kernel heap
-entries, the network's fan-out loop, the host's arrival path, the trace
-record — and stopped the knowledge layer from re-folding confirmation
-vectors it has already folded (DESIGN.md §16).  Parent = commit
-``60e555f``; both sides measured with identical harness code,
-``python3 benchmarks/e2e/run.py --workload W --seed S --seconds 25
---trace 0``, parent and change alternating which runs first, one shared
-2-core host.  ``sim_wide``: ten pairs, seeds 7 and 61–69; the UDP
-workloads: five pairs each, seeds 60–64.  Cells are medians over the
-pairs; [q1–q3] are quartiles.  ``failed`` = 0 in all 58 runs.
-
-```
-workload    metric                  parent [q1–q3]            change [q1–q3]           change/parent  change better in
-sim_wide    cpu_us_per_delivery     571.6 [566.1–588.1]       331.1 [309.9–362.5]      0.58           10/10 pairs   <- the claim (>= 25 % lower)
-sim_wide    goodput_msgs_per_s      53.85 [52.54–54.48]       92.63 [85.01–98.78]      1.72           10/10
-sim_wide    peak_rss_mb             83.62 [83.58–83.67]       41.67 [41.66–41.73]      0.50           10/10
-sim_wide    deliver_p50_ms          139.4                     139.4                    equal to the last digit, 10/10 seeds
-sim_wide    deliver_p95_ms          166.8                     166.8                    equal to the last digit, 10/10 seeds
-sim_wide    wire_frames_per_msg     634.1                     634.1                    equal to the last digit, 10/10 seeds
-sim_wide    setup_s                 0.175 [0.174–0.177]       0.179 [0.169–0.186]      1.02           5/10   (unresolved: inside the spread)
-udp_bulk    goodput_msgs_per_s      4253  [4072–4650]         4870  [4817–4951]        1.15           5/5
-udp_bulk    cpu_us_per_delivery     57.21 [52.87–60.65]       50.12 [48.80–50.48]      0.88           5/5
-udp_bulk    deliver_p50_ms          24.56 [23.07–25.08]       21.46 [21.02–21.99]      0.87           5/5
-udp_bulk    deliver_p95_ms          36.14 [34.08–36.51]       33.03 [32.27–33.92]      0.91           5/5
-udp_bulk    wire_frames_per_msg     3.474 [3.469–3.524]       3.423 [3.410–3.443]      0.99           5/5
-udp_bulk    peak_rss_mb             134.6 [131.1–141.1]       140.7 [139.7–142.3]      1.05           1/5    (worse, inside the parent's spread and the 25 % bound: 15 % more messages are retained)
-udp_bulk    setup_s                 0.168 [0.167–0.185]       0.172 [0.172–0.176]      1.03           2/5    (unresolved)
-udp_steady  goodput_msgs_per_s      400.0                     400.0                    1.00           offered rate, both
-udp_steady  cpu_us_per_delivery     357.8 [355.9–371.7]       339.9 [336.3–343.2]      0.95           3/5
-udp_steady  deliver_p50_ms          1.915 [1.895–1.917]       1.819 [1.789–1.867]      0.95           3/5
-udp_steady  deliver_p95_ms          2.600 [2.556–2.698]       2.576 [2.492–2.651]      0.99           3/5
-udp_steady  wire_frames_per_msg     23.65 [23.46–23.68]       23.66 [23.65–23.71]      1.00           protocol floor ~24
-udp_steady  peak_rss_mb             47.09 [47.07–47.13]       44.79 [44.79–44.81]      0.95           5/5
-udp_steady  setup_s                 0.237 [0.235–0.241]       0.215 [0.204–0.225]      0.91           4/5
-udp_lossy   goodput_msgs_per_s      399.6                     399.7                    1.00           offered rate, both
-udp_lossy   cpu_us_per_delivery     307.9 [303.3–307.9]       295.1 [290.8–295.6]      0.96           5/5
-udp_lossy   deliver_p50_ms          4.718 [4.679–4.835]       4.613 [4.550–4.671]      0.98           3/5
-udp_lossy   deliver_p95_ms          11.32 [11.27–11.40]       11.17 [11.10–11.39]      0.99           4/5
-udp_lossy   wire_frames_per_msg     17.73 [17.73–17.80]       17.82 [17.73–17.97]      1.01           1/5    (inside the 20 % bound)
-udp_lossy   peak_rss_mb             47.09 [47.08–47.09]       44.94 [44.88–44.95]      0.95           5/5
-udp_lossy   setup_s                 0.236 [0.235–0.242]       0.237 [0.235–0.244]      1.01           2/5    (unresolved)
-```
-
-The claim is met: ``cpu_us_per_delivery`` on ``sim_wide`` is 42 % below the
-parent's median (the parent's own quartiles are 22 µs apart, the medians
-240 µs), in ten of ten pairs, and the three metrics that come off the
-simulated clock and the frame counter did not move in any digit for any
-seed — same events, same arrival times, cheaper.  ``peak_rss_mb`` halves
-because four fifths of the retained ``TraceRecord``s were ``arrive``.  The
-UDP workloads share ``TraceRecord``, ``TraceLog.record``,
-``ReceiveBuffer.offer`` and the two memos; they are neutral-or-better
-everywhere a direction can be told, and ``udp_bulk`` — the workload that
-writes the most records per second — gains 15 % goodput from them.
-
-The ``--trace 1`` ledger rows that paid for it (one traced 5 s repeat per
-cell, seed 7; ``*_us`` rows are self time under the tracer, which roughly
-doubles them; counts are exact):
-
-```
-workload    row                              parent     change
-sim_wide    kernel.events                    255720     255720    (same events)
-sim_wide    network.copies_per_msg           637.4      637.4     (same copies)
-sim_wide    kernel.self_us_per_event         7.82       4.33
-sim_wide    simhost.self_us_per_arrival      16.34      10.47
-sim_wide    network.self_us_per_copy         7.28       3.83
-sim_wide    trace.records                    156204     33816     (-122 388 = one per arriving copy)
-sim_wide    trace.us_per_record              3.02       2.17
-sim_wide    state.merge_calls                378225     378225
-sim_wide    state.merge_us_per_call          3.38       1.95
-sim_wide    entity.on_pdu_self_us            18.10      13.36
-sim_wide    kernel+simhost+network+trace     0.61       0.55      (busy shares; entity+state 0.41 -> 0.47)
-sim_wide    ledger.coverage                  1.03       1.03
-udp_bulk    trace.us_per_record              4.77       1.84
-udp_bulk    trace.busy_share                 0.165      0.073
-udp_bulk    state.merge_us_per_call          2.70       2.72
-udp_bulk    ledger.coverage                  1.08       1.07
-udp_steady  trace.us_per_record              4.39       2.00
-udp_steady  trace.busy_share                 0.052      0.024
-udp_steady  state.merge_us_per_call          2.42       2.22
-udp_steady  ledger.coverage                  0.97       0.95
-udp_lossy   trace.us_per_record              4.77       2.18
-udp_lossy   trace.busy_share                 0.066      0.030
-udp_lossy   state.merge_us_per_call          2.70       2.88
-udp_lossy   ledger.coverage                  0.98       0.96
-```
-
-The saving is where it was claimed.  Per arriving copy the harness rows
-(2.09 kernel events + one host arrival + one network copy + its records)
-fall from about 44 µs to 24 µs and the protocol rows (``on_pdu`` self time
-+ 3.09 merges) from about 29 µs to 19 µs, the latter through the memoised
-repeats alone.  On UDP the record itself is what got cheaper — the slotted
-``TraceRecord`` and counting in ``record`` instead of in a ``deque``
-subclass's Python ``append`` — and the merge memo is neutral: a decoded
-frame always carries fresh tuples, so a hit costs one C-level tuple
-comparison where it saves a row walk, and on ``udp_bulk`` consecutive
-vectors from a busy member rarely repeat.
-
-**Run length.**  ROADMAP item 3 read the super-linear wall time of longer
-``sim_wide`` runs as something in the harness growing with run length.  It
-is not (in-process, n=32, seed 7, the ``sim_wide`` recipe, best of two
-runs per cell):
-
-```
-messages per sender     3        6        10       15
-copies delivered        60 543   122 233  231 477  398 102
-wire_frames_per_msg     631      637      723      829
-CPU us per copy, parent 30.9     38.0     32.5     36.9
-CPU us per copy, change 19.6     20.5     21.2     18.2
-trace records, parent   77 441   156 039  289 867  489 578
-trace records, change   16 898   33 806   58 390   91 476
-```
-
-CPU per arriving copy is flat on both sides; what grows is the number of
-copies each message costs — the probe chatter of hosts that are saturated
-for longer — which is ROADMAP item 1(a), not a simulator cost.  (The one
-harness cost that did grow with run length, ``run_until_quiescent``
-re-walking the whole trace at every chunk, is fixed by ``TraceLog.tail``
-and was 1.4 ms per chunk at 156 k records.)  Tier-1: the files that existed
-at the parent run in 40.9 s against 47.6 s; with this PR's 37 new tests
-(the two traced harness runs are 5 s of them) the suite is 1 036 tests.
-"""
+#: Everything from this line on in an existing EXPERIMENTS.md is hand-written
+#: (the benchmark and performance write-ups) and survives regeneration.
+HAND_WRITTEN_MARKER = "<!-- hand-written sections below, kept by figures.py -->"
 
 
 def write_experiments(path: str, artifacts: List[Artifact]) -> None:
-    """Write the regenerated artifacts to an EXPERIMENTS.md file."""
+    """Write the regenerated artifacts to an EXPERIMENTS.md file, keeping
+    byte for byte what an existing file holds from the marker line on."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            existing = f.read()
+    except FileNotFoundError:
+        existing = ""
+    at = existing.find(HAND_WRITTEN_MARKER)
     body = "\n\n".join(a.render() for a in artifacts)
     with open(path, "w", encoding="utf-8") as f:
         f.write(EXPERIMENTS_HEADER)
         f.write(body)
         f.write("\n")
-        f.write(EXPERIMENTS_FOOTER)
+        if at >= 0:
+            f.write("\n" + existing[at:])
 
 
 def main(argv: Sequence[str] = None) -> int:

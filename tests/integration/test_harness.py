@@ -5,6 +5,8 @@ import pytest
 from repro.core.errors import ConfigurationError
 from repro.harness import ExperimentConfig, run_experiment, sweep
 from repro.harness.figures import (
+    EXPERIMENTS_HEADER,
+    HAND_WRITTEN_MARKER,
     claim_c1_pdu_complexity,
     claim_c2_ack_latency,
     claim_c3_buffer,
@@ -122,8 +124,19 @@ class TestFigures:
 
     def test_write_experiments(self, tmp_path):
         artifacts = [figure8(fast=True)]
+        generated = EXPERIMENTS_HEADER + artifacts[0].render() + "\n"
         path = tmp_path / "EXPERIMENTS.md"
+        # Fresh path: header and artefacts, nothing else.
         write_experiments(str(path), artifacts)
-        content = path.read_text()
+        content = path.read_text(encoding="utf-8")
         assert "paper vs. measured" in content
         assert "fig8" in content
+        assert content == generated
+        # Existing file: what it holds from the marker line on is
+        # hand-written and survives byte for byte; the rest is regenerated.
+        tail = HAND_WRITTEN_MARKER + "\n\n## A write-up\n\n| µs | ± |\n  kept  \n"
+        path.write_text("stale tables\n\n" + tail, encoding="utf-8")
+        write_experiments(str(path), artifacts)
+        assert path.read_text(encoding="utf-8") == generated + "\n" + tail
+        write_experiments(str(path), artifacts)  # and is stable
+        assert path.read_text(encoding="utf-8") == generated + "\n" + tail

@@ -1,9 +1,14 @@
 """Unit tests for the soak harness and the CLI."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main as cli_main
 from repro.harness.runner import ExperimentConfig
 from repro.harness.soak import random_config, run_soak, run_trial
@@ -85,3 +90,21 @@ class TestCli:
     def test_no_command_prints_help(self, capsys):
         assert cli_main([]) == 2
         assert "usage" in capsys.readouterr().out
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("argv", [
+        ["repro.harness.soak", "--trials", "2", "--seed", "1"],
+        ["repro.harness.nemesis", "--rounds", "1"],
+    ])
+    def test_python_dash_m_runs_without_runtime_warning(self, argv):
+        """CI's ``faults`` job runs these as ``python -m``: the package must
+        not have imported the module by the time runpy executes it."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", *argv],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
+        assert "CLEAN" in done.stdout
