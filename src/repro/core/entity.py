@@ -75,7 +75,8 @@ from repro.sim.trace import TraceLog
 Clock = Callable[[], float]
 SendFn = Callable[[Any], None]
 #: Point-to-point send: (destination index, PDU).  Hosts that can address
-#: individual peers bind one; it is what engages non-flood dissemination.
+#: individual peers bind one; probe answers travel over it, and it is what
+#: engages non-flood dissemination.
 UnicastFn = Callable[[int, Any], None]
 
 
@@ -442,10 +443,10 @@ class COEntity:
     ) -> None:
         """Attach the host's output callbacks.  Must precede any traffic.
 
-        ``unicast`` is the point-to-point path non-flood dissemination
-        routes over; without one the engine floods regardless of the
-        configured mode — a host that cannot address individual peers
-        cannot run a ring or gossip topology.
+        ``unicast`` is the point-to-point path probe answers and non-flood
+        dissemination travel over; without one the engine floods both,
+        regardless of the configured mode — a host that cannot address
+        individual peers cannot run a ring or gossip topology.
         """
         self._send_fn = send
         self._deliver_fn = deliver
@@ -1089,14 +1090,14 @@ class COEntity:
             self._peer_store[p.src][p.seq] = p
         self.gaps.close_below(p.src, self.state.req[p.src])
         self.counters.accepted += 1
+        self._last_learned = now = self.now
         self._trace.record(
-            self.now, "accept", self.index,
+            now, "accept", self.index,
             src=p.src, seq=p.seq, null=p.is_null,
         )
         if p.src != self.index:
             self._heard_from.add(p.src)
         self._probe_backoff = 1
-        self._last_learned = self.now
         resident = self.resident_pdus
         if resident > self._resident_high_water:
             self._resident_high_water = resident

@@ -162,7 +162,7 @@ class MCNetwork(SimProcess):
         self._send_copies(src, [d for d in range(self.n) if d != src], pdu)
 
     def unicast(self, src: int, dst: int, pdu: Any) -> None:
-        """Send a PDU to a single destination (used by extensions)."""
+        """Send a PDU to a single destination (probe answers, relays)."""
         if dst == src:
             raise ValueError("unicast to self is not modelled")
         self.stats.unicasts += 1

@@ -212,8 +212,8 @@ class UdpTransport:
                     self._sendto(payload, address)
 
     def unicast(self, src: int, dst: int, pdu: Any) -> None:
-        """Encode and send one PDU to a single peer (dissemination
-        topologies, docs/PROTOCOL.md §16).
+        """Encode and send one PDU to a single peer (probe answers,
+        docs/PROTOCOL.md §7; dissemination topologies, §16).
 
         Relay wrappers are never split — the engine's ``batch_max_bytes``
         is what keeps a relayed batch under the MTU budget; an oversized

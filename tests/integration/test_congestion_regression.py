@@ -16,8 +16,6 @@ Each of these configurations once deadlocked or live-locked the protocol:
    (fixed: probe only when stuck, answer only the prober).
 """
 
-import os
-
 import pytest
 
 from repro.core.cluster import CpuModel, build_cluster
@@ -119,10 +117,7 @@ def test_loss_free_saturated_cluster_sends_no_probe():
 _LOSSY_WIDE_COPIES_BEFORE = {7: 659_680, 8: 626_138, 9: 640_057}
 
 
-@pytest.mark.skipif(
-    not os.environ.get("REPRO_SLOW_TESTS"),
-    reason="~10 s per seed; the CI faults job runs it (REPRO_SLOW_TESTS=1)",
-)
+@pytest.mark.slow  # ~10 s per seed: CI's faults job runs it, tier-1 does not
 @pytest.mark.parametrize("seed", sorted(_LOSSY_WIDE_COPIES_BEFORE))
 def test_lossy_wide_cluster_stays_out_of_the_answer_storm(seed):
     """n=32 with 5 % of all copies lost: lost heartbeats drew probes, 31
