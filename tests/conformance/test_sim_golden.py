@@ -1,6 +1,6 @@
 """Conformance: the simulator is bit-for-bit deterministic across perf PRs.
 
-Three seeded runs are pinned to literals: the number of kernel events, the
+Four seeded runs are pinned to literals: the number of kernel events, the
 final simulated clock, every network counter, the per-category trace census
 and a SHA-256 over each host's ``(src, seq, delivered_at)`` sequence.
 ``jitter`` is as captured on the commit *before* the per-copy path of the
@@ -22,6 +22,10 @@ not only in the end-to-end comparison.
   do overrun 256-unit buffers, so the paper's own loss mechanism (§2.1),
   the ``drop reason=overrun`` path of the host and the recovery from it
   are pinned as well.
+
+* ``sparse`` — n=4, 400 submissions round robin at 400 msg/s (64 B, one
+  every 2.5 ms), default buffers: the simulator's ``udp_steady``, captured
+  on the parent of ISSUE 23 before any ``src/`` edit.
 
 ``arrive`` records are excluded from the census: the category was dropped
 by the same change (nothing ever read it), and the goldens must hold on
@@ -45,20 +49,24 @@ from repro.workloads.generators import ContinuousWorkload
 
 SEED = 7
 
-#: scenario -> (n, messages per sender, build_cluster keyword arguments)
+#: scenario -> (n, ContinuousWorkload arguments, build_cluster arguments)
 SCENARIOS = {
-    "jitter": (8, 4, lambda: dict(
+    "jitter": (8, dict(messages_per_entity=4), lambda: dict(
         delay_model=JitterDelay(20e-6), buffer_capacity=4096)),
-    "lossy": (8, 4, lambda: dict(loss=BernoulliLoss(0.05))),
-    "overrun": (20, 3, lambda: dict(loss=BernoulliLoss(0.05))),
+    "lossy": (8, dict(messages_per_entity=4),
+              lambda: dict(loss=BernoulliLoss(0.05))),
+    "overrun": (20, dict(messages_per_entity=3),
+                lambda: dict(loss=BernoulliLoss(0.05))),
+    "sparse": (4, dict(messages_per_entity=100, interval=10e-3,
+                       stagger=2.5e-3, payload_size=64), dict),
 }
 
 
 def fingerprint(scenario):
-    n, per_sender, kwargs = SCENARIOS[scenario]
+    n, workload, kwargs = SCENARIOS[scenario]
     rngs = RngRegistry(SEED)
     cluster = build_cluster(n, rngs=rngs, **kwargs())
-    ContinuousWorkload(messages_per_entity=per_sender).install(cluster, rngs)
+    ContinuousWorkload(**workload).install(cluster, rngs)
     cluster.run_until_quiescent(max_time=60.0)
     verify_run(cluster.trace, n, expect_all_delivered=True).assert_ok()
     digest = hashlib.sha256()
@@ -134,6 +142,24 @@ GOLDEN = {
         },
         'deliveries_sha256':
             '3a216192a4a5282c0fe11ad33994f432e70d21d7656adc5adfee1a59ba48c9d0',
+    },
+    'sparse': {
+        'events_executed': 23670,
+        'now': 1.0165209999999993,
+        'overruns': 0,
+        'network': {
+            'batch_frames': 0, 'batched_data_pdus': 0, 'broadcasts': 3201,
+            'bytes_sent': 518544, 'control_pdus': 2801,
+            'copies_delivered': 9603, 'copies_dropped': 0,
+            'copies_duplicated': 0, 'copies_sent': 9603, 'data_pdus': 400,
+            'unicasts': 0,
+        },
+        'trace': {
+            'accept': 1600, 'ack': 1600, 'broadcast': 3201, 'deliver': 1600,
+            'gauge': 508, 'heartbeat': 2801, 'preack': 1600, 'submit': 400,
+        },
+        'deliveries_sha256':
+            'e637978a27be3192a6876298a38e3f363ac31fe92b0e5777a5160ea64615edd6',
     },
 }
 
