@@ -277,6 +277,9 @@ class COEntity:
         self._clock = clock
         self._trace = trace
         self._advertised_buf = advertised_buf or (lambda: 10 ** 9)
+        #: BUF of the empty inbox — every host builds its engine before any
+        #: traffic; the shortfall against it is the unread input.
+        self._buf_empty = self._advertised_buf()
 
         self.state = KnowledgeState(n, index, roster=roster)
         #: Handler the bridge layer installs to claim InterGroupPdu frames
@@ -644,9 +647,10 @@ class COEntity:
         # "My vectors changed": whatever differs from the last confirmed
         # vectors goes out as a plain confirmation once ``deferred_interval``
         # has passed since the last transmission — needy or not, whatever
-        # the probe back-off: peers deliver on exactly these vectors.
+        # the probe back-off: peers deliver on exactly these vectors —
+        # unless a round of input waits unread (:meth:`_may_announce`).
         interval = self.config.deferred_interval
-        if now - self._last_send_time >= interval:
+        if self._may_announce(now):
             self._send_confirmation(force=True)
         # "I lost a heartbeat": heartbeats are unsequenced, so a lost one
         # leaves no gap to detect, and a member still waiting on the
@@ -1506,7 +1510,7 @@ class COEntity:
             # its own floors, not its copy of *our* row, so a prober that
             # holds every PDU but lost our last heartbeat looks caught-up.
             self._answer_probe(h.src)
-        elif self.now - self._last_send_time >= self.config.deferred_interval and any(
+        elif self._may_announce(self.now) and any(
             h.ack[j] < self.state.req[j] or h.pack[j] < self._preack_floor[j]
             for j in range(self.n)
         ):
@@ -2205,18 +2209,35 @@ class COEntity:
     # ------------------------------------------------------------------
     # Deferred confirmation (§5)
     # ------------------------------------------------------------------
+    def _live_peers(self) -> Set[int]:
+        if self._live_others is None:
+            self._live_others = self.members - {self.index} - self.suspected
+        return self._live_others
+
     def _maybe_confirm(self) -> None:
         """Send a confirming PDU when the deferred rule fires."""
         if self.config.confirmation is ConfirmationMode.IMMEDIATE:
             self._send_confirmation(force=False)
             return
-        live_others = self._live_others
-        if live_others is None:
-            live_others = self._live_others = (
-                self.members - {self.index} - self.suspected
-            )
+        live_others = self._live_peers()
         if live_others and self._heard_from >= live_others:
             self._send_confirmation(force=False)
+
+    def _may_announce(self, now: float) -> bool:
+        """May a timer-paced confirmation go out?  Read before you announce.
+
+        ``deferred_interval`` since the last transmission, and less than a
+        round of input — one PDU per live peer — unread in the inbox.  A
+        backlogged member has not established that anyone is silent (why §5
+        has a timer at all), input that has *already arrived* is about to
+        supersede its vectors, and n−1 receivers would each pay an n-wide
+        merge for the stale copy.  The heard-from-all round, the keepalive,
+        probes and their answers never ask (docs/PROTOCOL.md §7).
+        """
+        if now - self._last_send_time < self.config.deferred_interval:
+            return False
+        unread = self._buf_empty - self._advertised_buf()
+        return unread < max(1, len(self._live_peers()) * self.config.units_per_pdu)
 
     def _send_confirmation(self, force: bool, resend: bool = False, probe: bool = False) -> None:
         """Emit receipt confirmations.

@@ -4,11 +4,16 @@ Four seeded runs are pinned to literals: the number of kernel events, the
 final simulated clock, every network counter, the per-category trace census
 and a SHA-256 over each host's ``(src, seq, delivered_at)`` sequence.
 ``jitter`` is as captured on the commit *before* the per-copy path of the
-simulator stack was rewritten (ISSUE 20); ``lossy`` and ``overrun`` were
-re-captured when the probe / answer plane was replaced (ISSUE 21: probes
-only when stuck, answers unicast to the prober) — the loss-free ``jitter``
-run sends no probe and did not move.  A perf change to ``sim/``, ``net/``
-or ``core/cluster.py`` that reorders one same-instant event, draws one RNG
+simulator stack was rewritten (ISSUE 20); ``lossy`` was re-captured when
+the probe / answer plane was replaced (ISSUE 21: probes only when stuck,
+answers unicast to the prober); ``sparse`` was captured on the parent of
+ISSUE 23 (a backlogged member defers its timer confirmation) before any
+``src/`` edit, and ``jitter``, ``lossy`` and ``sparse`` all passed that
+change as captured — at n ≤ 8 with these loads no inbox ever holds a round
+of unread input.  ``overrun`` was re-shaped and re-captured by ISSUE 23: at
+n=20 the gate removed so many stale confirmations that 256-unit buffers
+stopped overrunning altogether.  A perf change to ``sim/``, ``net/`` or
+``core/cluster.py`` that reorders one same-instant event, draws one RNG
 value out of order or shifts one arrival by an ulp fails here, in tier-1,
 not only in the end-to-end comparison.
 
@@ -18,14 +23,14 @@ not only in the end-to-end comparison.
   detection, stashing, RETs, retransmissions and the loss stream's draw
   order.  (At n=8 the flow condition keeps the buffers from overrunning —
   ``overruns`` is pinned at 0.)
-* ``overrun`` — the same loss at n=20, 3 messages per sender: 20 senders
-  do overrun 256-unit buffers, so the paper's own loss mechanism (§2.1),
-  the ``drop reason=overrun`` path of the host and the recovery from it
-  are pinned as well.
-
+* ``overrun`` — the same loss at n=20, 3 messages per sender, on 128-unit
+  buffers: 20 senders do overrun those, so the paper's own loss mechanism
+  (§2.1), the ``drop reason=overrun`` path of the host and the recovery
+  from it are pinned as well.
 * ``sparse`` — n=4, 400 submissions round robin at 400 msg/s (64 B, one
-  every 2.5 ms), default buffers: the simulator's ``udp_steady``, captured
-  on the parent of ISSUE 23 before any ``src/`` edit.
+  every 2.5 ms), default buffers: the simulator's ``udp_steady``.  Every
+  inbox is read empty between arrivals, so this run is the executable
+  statement that an unsaturated cluster never meets the backlog gate.
 
 ``arrive`` records are excluded from the census: the category was dropped
 by the same change (nothing ever read it), and the goldens must hold on
@@ -55,8 +60,8 @@ SCENARIOS = {
         delay_model=JitterDelay(20e-6), buffer_capacity=4096)),
     "lossy": (8, dict(messages_per_entity=4),
               lambda: dict(loss=BernoulliLoss(0.05))),
-    "overrun": (20, dict(messages_per_entity=3),
-                lambda: dict(loss=BernoulliLoss(0.05))),
+    "overrun": (20, dict(messages_per_entity=3), lambda: dict(
+        loss=BernoulliLoss(0.05), buffer_capacity=128)),
     "sparse": (4, dict(messages_per_entity=100, interval=10e-3,
                        stagger=2.5e-3, payload_size=64), dict),
 }
@@ -124,24 +129,24 @@ GOLDEN = {
             'b9e605e5b7c59886098b382ec83325494486acdb08d9983dde65e92c4b918212',
     },
     'overrun': {
-        'events_executed': 38420,
-        'now': 0.10921299999999995,
-        'overruns': 12,
+        'events_executed': 23486,
+        'now': 0.08400999999999997,
+        'overruns': 116,
         'network': {
-            'batch_frames': 0, 'batched_data_pdus': 0, 'broadcasts': 963,
-            'bytes_sent': 5255256, 'control_pdus': 1449,
-            'copies_delivered': 18096, 'copies_dropped': 955,
-            'copies_duplicated': 0, 'copies_sent': 19051, 'data_pdus': 268,
-            'unicasts': 754,
+            'batch_frames': 0, 'batched_data_pdus': 0, 'broadcasts': 545,
+            'bytes_sent': 3625324, 'control_pdus': 1460,
+            'copies_delivered': 10931, 'copies_dropped': 566,
+            'copies_duplicated': 0, 'copies_sent': 11497, 'data_pdus': 227,
+            'unicasts': 1142,
         },
         'trace': {
-            'accept': 1200, 'ack': 1200, 'broadcast': 963, 'deliver': 1200,
-            'drop': 967, 'duplicate': 3685, 'gap': 8518, 'gauge': 260,
-            'heartbeat': 1243, 'preack': 1200, 'ret': 206, 'retransmit': 208,
-            'stash': 54, 'submit': 60, 'unicast': 754,
+            'accept': 1200, 'ack': 1200, 'broadcast': 545, 'deliver': 1200,
+            'drop': 682, 'duplicate': 2901, 'gap': 4916, 'gauge': 200,
+            'heartbeat': 1279, 'preack': 1200, 'ret': 181, 'retransmit': 167,
+            'stash': 54, 'submit': 60, 'unicast': 1142,
         },
         'deliveries_sha256':
-            '3a216192a4a5282c0fe11ad33994f432e70d21d7656adc5adfee1a59ba48c9d0',
+            'd7fc15fecab24c7f94d6a01df23a6e18de4da338a7be112f9a53cc166487d36e',
     },
     'sparse': {
         'events_executed': 23670,
