@@ -541,8 +541,11 @@ def scenario_batching(seed: int, trace: Optional[TraceLog] = None) -> NemesisOut
     loses *all* the PDUs it carried at once — the burstiest loss the RET
     machinery ever sees — and duplicated frames replay whole batches.  The
     ordering oracle judges causal safety; the scenario additionally proves
-    the batching layer actually engaged (multi-PDU frames on the wire,
-    confirmations coalesced into batch headers).
+    the batching layer actually engaged: multi-PDU frames on the wire, which
+    the back-to-back submissions guarantee on every seed.  Whether a
+    confirmation happens to fall due while a batch is open depends on which
+    frames the seed drops, so ``acks_coalesced`` is reported, not required —
+    ``tests/unit/test_batching.py::TestAckCoalescing`` pins that path.
     """
     name = "batching"
     n = 4
@@ -581,8 +584,6 @@ def scenario_batching(seed: int, trace: Optional[TraceLog] = None) -> NemesisOut
                 "no frame ever carried more than one PDU "
                 f"({stats.batched_data_pdus} PDUs in {stats.batch_frames} frames)"
             )
-        if engine_totals.get("acks_coalesced", 0) == 0:
-            raise InvariantViolation("no confirmation was ever coalesced")
     except (InvariantViolation, Exception) as exc:
         return NemesisOutcome(name, seed, False, str(exc), _observations(cluster, live))
     outcome = NemesisOutcome(name, seed, True, "", _observations(cluster, live))

@@ -245,6 +245,23 @@ class TestAckCoalescing:
         # The flushed header carries the post-acceptance REQ vector.
         assert frames[-1].ack[0] == 2
 
+    def test_round_rule_with_open_batch_coalesces_exactly_once(self):
+        """Deterministic engagement (the nemesis ``batching`` scenario only
+        reports the counter): hearing from every peer while a batch is open
+        flushes the batch as the confirmation — no heartbeat, one count."""
+        engine, pipe = make_engine(index=1, n=2)
+        peer, p_pipe = make_engine(index=0, n=2)
+        peer.submit("from peer")
+        peer.on_tick()
+        frame = next(p for p in p_pipe.sent if isinstance(p, BatchPdu))
+        engine.submit("own traffic")      # opens a batch, nothing on the wire
+        assert pipe.sent == []
+        engine.on_pdu(frame)              # heard from all: confirmation due
+        assert engine.counters.acks_coalesced == 1
+        assert engine.counters.batch_flush_tick == 0
+        assert [type(p) for p in pipe.sent] == [BatchPdu]
+        assert pipe.sent[0].ack[0] == 2   # post-acceptance REQ in the header
+
     def test_no_open_batch_falls_back_to_heartbeat(self):
         engine, pipe = make_engine(index=1, deferred_interval=0.0)
         peer, p_pipe = make_engine(index=0)
