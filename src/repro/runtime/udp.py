@@ -117,9 +117,10 @@ class UdpTransport:
         self.inbox = ReceiveBuffer(
             capacity_units=inbox_capacity_units, units_per_pdu=units_per_pdu,
         )
-        #: Called (with no arguments) on every inbox overrun; the member
+        #: Called with a reason (and details) for every datagram dropped on
+        #: the receive path — inbox overrun, engine rejection; the member
         #: wires this to a ``drop`` trace record.
-        self.on_overrun: Optional[Callable[[], None]] = None
+        self.on_drop: Optional[Callable[..., None]] = None
         self.datagrams_sent = 0
         #: Datagrams counted as sent that never reached the wire: injected
         #: loss plus the ones the kernel refused (``send_blocked``).
@@ -128,6 +129,8 @@ class UdpTransport:
         #: was full (``EAGAIN``/``ENOBUFS``) — sender-side overrun.
         self.send_blocked = 0
         self.decode_errors = 0
+        #: Well-formed frames the engine raised on (see :meth:`_on_readable`).
+        self.sink_errors = 0
         #: Frames rejected by the codec, broken down by cause (the CRC
         #: trailer rejects corrupted datagrams before they reach the engine).
         self.codec_counters = {"codec_corrupt_frames": 0}
@@ -146,6 +149,7 @@ class UdpTransport:
             "datagrams_dropped": self.datagrams_dropped,
             "send_blocked": self.send_blocked,
             "decode_errors": self.decode_errors,
+            "sink_errors": self.sink_errors,
             "socket_errors": self.errors,
             "frames_split": self.frames_split,
             **self.codec_counters,
@@ -269,15 +273,24 @@ class UdpTransport:
             if pdu is None:
                 self.decode_errors += 1
                 continue
-            self._sink(pdu)
+            try:
+                self._sink(pdu)
+            except Exception as exc:
+                # Well-formed on the wire, refused by the engine (a source
+                # index or vector length that lies about the cluster): any
+                # host that can reach the port is a peer, and one such frame
+                # must not strand the rest of the burst in the inbox.
+                self.sink_errors += 1
+                if self.on_drop is not None:
+                    self.on_drop("sink-error", error=repr(exc))
 
     def _on_datagram(self, data: bytes) -> None:
         if not self.inbox.offer(data):
             # Buffer overrun: the datagram is gone, exactly as in §2.1.
             # The sender's sequence numbers make the loss detectable and
             # the RET path repairs it.
-            if self.on_overrun is not None:
-                self.on_overrun()
+            if self.on_drop is not None:
+                self.on_drop("inbox-overrun")
 
 
 class UdpMember:
@@ -308,7 +321,7 @@ class UdpMember:
             units_per_pdu=self.config.units_per_pdu,
             max_frame_bytes=max_frame_bytes,
         )
-        self.transport.on_overrun = self._record_overrun
+        self.transport.on_drop = self._record_drop
         # The engine's liveness state is stamped with clock() at
         # construction, which happens before any loop runs — a lazy clock
         # (not a 0.0 placeholder) keeps those stamps on the loop's epoch.
@@ -337,9 +350,9 @@ class UdpMember:
         """The unified counters dict (docs/PROTOCOL.md §13)."""
         return self.host.counters()
 
-    def _record_overrun(self) -> None:
+    def _record_drop(self, reason: str, **details: Any) -> None:
         self.trace.record(self._clock(), "drop", self.index,
-                          reason="inbox-overrun")
+                          reason=reason, **details)
 
     async def start(self) -> None:
         await self.transport.start()

@@ -12,6 +12,8 @@ import time
 
 import pytest
 
+from repro.core.codec import encode_pdu
+from repro.core.pdu import HeartbeatPdu
 from repro.ordering.checker import verify_run
 from repro.runtime.host import AsyncCluster, lazy_loop_clock
 from repro.runtime.udp import RECV_BURST, UdpMember, UdpTransport, udp_cluster
@@ -161,6 +163,45 @@ class TestUdpCluster:
         members = run(scenario())
         assert members[1].transport.decode_errors >= 1
         assert [m.data for m in members[1].delivered] == [b"real"]
+
+
+    @pytest.mark.parametrize("lie", ["src", "vector-length"])
+    def test_frame_the_engine_raises_on_does_not_strand_the_burst(self, lie):
+        """A well-formed frame that makes ``on_pdu`` raise (a source index
+        outside the cluster, vectors longer than n) is counted and traced
+        as a drop; the good frame queued behind it in the same burst is
+        still read and delivered."""
+        port = {"src": 19960, "vector-length": 19964}[lie]
+
+        async def scenario():
+            members = await udp_cluster(2, base_port=port, seed=5)
+            try:
+                cid = members[1].config.cluster_id
+                width = 2 if lie == "src" else 5
+                hostile = HeartbeatPdu(
+                    cid=cid, src=7 if lie == "src" else 0, ack=(1,) * width,
+                    pack=(1,) * width, buf=64, probe=False, view=0,
+                )
+                with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as raw:
+                    raw.sendto(encode_pdu(hostile), ("127.0.0.1", port + 1))
+                # No await in between: both datagrams are on member 1's
+                # socket before its readable callback runs.
+                members[0].broadcast(b"real")
+                await quiesce(members)
+            finally:
+                await stop_all(members)
+            return members
+
+        members = run(scenario())
+        victim = members[1]
+        assert victim.transport.sink_errors == 1
+        assert victim.counters()["transport"]["sink_errors"] == 1
+        assert victim.transport.decode_errors == 0
+        drops = victim.trace.select("drop", entity=1)
+        assert [r.get("reason") for r in drops] == ["sink-error"]
+        assert "IndexError" in drops[0].get("error")
+        assert [m.data for m in victim.delivered] == [b"real"]
+        assert len(victim.transport.inbox) == 0
 
 
 class TestBoundedInbox:
