@@ -2297,7 +2297,9 @@ class COEntity:
         self.counters.sent_heartbeats += 1
         if probe:
             self.counters.probes_sent += 1
-        self._trace.record(self.now, "heartbeat", self.index, probe=probe)
+            self._trace.record(self.now, "heartbeat", self.index, probe=True)
+        else:
+            self._trace.record(self.now, "heartbeat", self.index)
         return HeartbeatPdu(
             cid=self.config.cluster_id,
             src=self.index,

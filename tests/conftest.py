@@ -17,13 +17,15 @@ class EngineDriver:
     accessors) and delivers (``driver.delivered``), and provides a manual
     clock (``driver.clock``).  ``unicast=True`` also binds a point-to-point
     path, as every shipped host does; its ``(dst, pdu)`` pairs land in
-    ``driver.unicasts``.
+    ``driver.unicasts``.  ``driver.advertised_buf`` is what the engine reads
+    as its host's free inbox units; lower it to simulate unread input.
     """
 
     def __init__(self, index: int, n: int, config: Optional[ProtocolConfig] = None,
                  trace: Optional[TraceLog] = None, buf: int = 10 ** 6,
                  unicast: bool = False):
         self.clock = 0.0
+        self.advertised_buf = buf
         self.trace = trace if trace is not None else TraceLog()
         self.sent: List[Any] = []
         self.unicasts: List[Tuple[int, Any]] = []
@@ -33,7 +35,7 @@ class EngineDriver:
             config or ProtocolConfig(),
             clock=lambda: self.clock,
             trace=self.trace,
-            advertised_buf=lambda: buf,
+            advertised_buf=lambda: self.advertised_buf,
         )
         self.engine.bind(
             send=self.sent.append, deliver=self.delivered.append,

@@ -179,8 +179,9 @@ def test_silent_needy_member_probes_with_capped_doubling_backoff():
     gaps = [(b - a) / INTERVAL for a, b in zip(sent_at, sent_at[1:])]
     assert gaps == [1, 2, 4, 8, 16, 32, 64, 64]
     assert drv.engine.counters.probes_sent == 8
+    # Only probes carry the key: a plain heartbeat's details stay empty.
     assert [r.get("probe") for r in drv.trace.select("heartbeat")] == (
-        [False] + [True] * 8
+        [None] + [True] * 8
     )
 
 
@@ -295,3 +296,147 @@ def test_open_batch_is_flushed_before_a_probe_answer():
     frame, (dst, answer) = wire
     assert isinstance(frame, BatchPdu) and frame.seqs == (1,)
     assert dst == 2 and answer.ack == (2, 1, 1)
+
+
+# ----------------------------------------------------------------------
+# Read before you announce (docs/PROTOCOL.md §7): the two timer-paced
+# confirmations wait while at least one PDU per live peer sits unread in
+# the inbox — the shortfall of the BUF advertisement against the empty
+# inbox's.  The round, the keepalive, probes and their answers never ask.
+# ----------------------------------------------------------------------
+BUF = 10 ** 6
+
+
+def _unread(drv, units):
+    drv.advertised_buf = BUF - units
+
+
+def _changed_and_due(n=4, config=TIMED, **kw):
+    """A driver whose REQ moved (E1's first PDU accepted) one full interval
+    ago: the next tick's "my vectors changed" confirmation is due."""
+    drv = EngineDriver(0, n, config, buf=BUF, **kw)
+    drv.receive(make_pdu(1, 1, (1,) * n))
+    drv.clock += INTERVAL
+    return drv
+
+
+def _burst_from_e1(drv, n, count=12):
+    for seq in range(1, count + 1):
+        ack = [1] * n
+        ack[1] = seq
+        drv.receive(make_pdu(1, seq, tuple(ack)))
+
+
+def _still_learning(drv, n, k):
+    """E2 reports how much of E1's burst it holds: one AL cell rises, so the
+    member is learning — not stuck, no probe — and E2 trails our REQ, so
+    the stale-peer branch is asked on every call as well."""
+    ack = [1] * n
+    ack[1] = k
+    drv.receive(_hb(2, tuple(ack), (1,) * n))
+
+
+def test_backlogged_member_defers_the_tick_confirmation():
+    drv = EngineDriver(0, 4, TIMED, buf=BUF)
+    _burst_from_e1(drv, 4)                 # REQ moved: a confirmation is owed
+    _unread(drv, 3)                        # one PDU per live peer
+    for k in range(2, 12):                 # five intervals, learning all along
+        _still_learning(drv, 4, k)
+        drv.tick(dt=TICK)
+    assert drv.sent == []
+    assert drv.engine.counters.probes_sent == 0
+    # One unit fewer is not a round's worth: the very next tick confirms,
+    # once, plainly.
+    _unread(drv, 2)
+    drv.tick(dt=TICK)
+    [hb] = drv.sent
+    assert isinstance(hb, HeartbeatPdu) and not hb.probe
+    assert hb.ack == (1, 13, 1, 1)
+    drv.tick(dt=TICK)
+    assert drv.sent == [hb]
+
+
+def test_backlogged_member_does_not_answer_a_stale_peer():
+    drv = _changed_and_due()
+    stale = _hb(2, (1, 1, 1, 1), (1, 1, 1, 1))   # E2 trails our REQ[1] = 2
+    _unread(drv, 3)
+    drv.receive(stale)
+    assert drv.sent == []
+    _unread(drv, 0)
+    drv.receive(stale)
+    [hb] = drv.heartbeats_sent
+    assert hb.ack == (1, 2, 1, 1) and not hb.probe
+
+
+def test_suspected_peer_shrinks_the_backlog_threshold():
+    config = ProtocolConfig(
+        deferred_interval=INTERVAL, tick_interval=TICK, suspect_timeout=64 * TICK,
+    )
+    drv = EngineDriver(0, 4, config, buf=BUF)
+    # E1 and E2 keep talking; E3 never does and is suspected.
+    quiet = (1, 1, 1, 1)
+    _tick_until(drv, lambda: (
+        drv.receive(_hb(1, quiet, quiet)), drv.receive(_hb(2, quiet, quiet)),
+        3 in drv.engine.suspected,
+    )[-1])
+    assert drv.engine.suspected == {3}
+    _burst_from_e1(drv, 4)
+    drv.tick(dt=INTERVAL)                  # confirmed; heard-from starts over
+    sent = len(drv.sent)
+    # Two unread units were below the threshold of three live peers; with
+    # two live peers they are a round.  (Only E2 speaks from here on, so the
+    # heard-from-all rule stays out of it; each report pre-acknowledges one
+    # more PDU, so a changed PACK vector is owed at every tick.)
+    _unread(drv, 2)
+    for k in range(2, 8):
+        _still_learning(drv, 4, k)
+        drv.tick(dt=TICK)
+    assert len(drv.sent) == sent
+    _unread(drv, 1)
+    drv.tick(dt=TICK)
+    assert len(drv.sent) == sent + 1
+    assert drv.engine.counters.probes_sent == 0
+
+
+def test_round_rule_fires_whatever_the_backlog():
+    drv = EngineDriver(0, 4, TIMED, buf=BUF)
+    _unread(drv, 200)
+    for src in (1, 2, 3):
+        assert drv.sent == []
+        drv.receive(make_pdu(src, 1, (1, 1, 1, 1)))
+    # Heard from every live peer, inside the interval, inbox far behind.
+    [hb] = drv.heartbeats_sent
+    assert hb.ack == (1, 2, 2, 2)
+
+
+def test_keepalive_fires_whatever_the_backlog():
+    config = ProtocolConfig(
+        deferred_interval=INTERVAL, tick_interval=TICK, suspect_timeout=64 * TICK,
+    )
+    drv = EngineDriver(0, 4, config, buf=BUF)
+    _unread(drv, 200)
+    drv.tick(dt=32 * TICK)                 # suspect_timeout / 2 of silence
+    [hb] = drv.heartbeats_sent
+    assert not hb.probe
+
+
+def test_probes_and_probe_answers_go_out_whatever_the_backlog():
+    drv = EngineDriver(0, 4, TIMED, buf=BUF, unicast=True)
+    _unread(drv, 200)
+    drv.receive(_hb(2, (1, 1, 1, 1), (1, 1, 1, 1), probe=True))
+    [(dst, answer)] = drv.unicasts
+    assert dst == 2 and not answer.probe
+    # Needy (an own PDU awaits pre-acknowledgment), silent, nothing
+    # learned: the probe goes out although the changed-vector confirmation
+    # before it was held back.
+    drv.submit("x")
+    _tick_until(drv, lambda: drv.engine.counters.probes_sent == 1)
+    assert [hb.probe for hb in drv.heartbeats_sent] == [True]
+
+
+def test_data_still_carries_the_confirmation_when_backlogged():
+    drv = _changed_and_due()
+    _unread(drv, 200)
+    pdu = drv.submit("x")
+    assert pdu.ack == (1, 2, 1, 1)
+    assert drv.engine._last_confirmed_req[1] == 2
