@@ -134,7 +134,12 @@ def test_member_held_backlogged_still_confirms_through_the_round():
                          pack=(1,) * n, buf=256)
     asked = []
     may_announce = engine._may_announce
-    engine._may_announce = lambda now: asked.append(may_announce(now)) or asked[-1]
+
+    def recording(now):
+        asked.append(may_announce(now))
+        return asked[-1]
+
+    engine._may_announce = recording
 
     def top_up():
         while len(host.buffer) < n + 2:

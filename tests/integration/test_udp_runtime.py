@@ -164,23 +164,21 @@ class TestUdpCluster:
         assert members[1].transport.decode_errors >= 1
         assert [m.data for m in members[1].delivered] == [b"real"]
 
-
-    @pytest.mark.parametrize("lie", ["src", "vector-length"])
-    def test_frame_the_engine_raises_on_does_not_strand_the_burst(self, lie):
-        """A well-formed frame that makes ``on_pdu`` raise (a source index
-        outside the cluster, vectors longer than n) is counted and traced
-        as a drop; the good frame queued behind it in the same burst is
-        still read and delivered."""
-        port = {"src": 19960, "vector-length": 19964}[lie]
-
+    @pytest.mark.parametrize("src, width, port", [
+        pytest.param(7, 2, 19960, id="src-outside-cluster"),
+        pytest.param(0, 5, 19964, id="vectors-longer-than-n"),
+    ])
+    def test_frame_the_engine_raises_on_does_not_strand_the_burst(
+            self, src, width, port):
+        """A well-formed frame that makes ``on_pdu`` raise is counted and
+        traced as a drop; the good frame queued behind it in the same burst
+        is still read and delivered."""
         async def scenario():
             members = await udp_cluster(2, base_port=port, seed=5)
             try:
-                cid = members[1].config.cluster_id
-                width = 2 if lie == "src" else 5
                 hostile = HeartbeatPdu(
-                    cid=cid, src=7 if lie == "src" else 0, ack=(1,) * width,
-                    pack=(1,) * width, buf=64, probe=False, view=0,
+                    cid=members[1].config.cluster_id, src=src,
+                    ack=(1,) * width, pack=(1,) * width, buf=64,
                 )
                 with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as raw:
                     raw.sendto(encode_pdu(hostile), ("127.0.0.1", port + 1))

@@ -311,11 +311,11 @@ def _unread(drv, units):
     drv.advertised_buf = BUF - units
 
 
-def _changed_and_due(n=4, config=TIMED, **kw):
+def _changed_and_due():
     """A driver whose REQ moved (E1's first PDU accepted) one full interval
-    ago: the next tick's "my vectors changed" confirmation is due."""
-    drv = EngineDriver(0, n, config, buf=BUF, **kw)
-    drv.receive(make_pdu(1, 1, (1,) * n))
+    ago: the next timer-paced confirmation is due."""
+    drv = EngineDriver(0, 4, TIMED, buf=BUF)
+    drv.receive(make_pdu(1, 1, (1, 1, 1, 1)))
     drv.clock += INTERVAL
     return drv
 
