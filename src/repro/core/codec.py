@@ -184,6 +184,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from dataclasses import replace
 from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.core.errors import ReproError
@@ -839,12 +840,17 @@ def _decode(data: Buffer, end: int) -> AnyPdu:
 def split_batch(pdu: BatchPdu, max_frame_bytes: int) -> "list[BatchPdu]":
     """Split a batch into frames whose encoding fits ``max_frame_bytes``.
 
-    Every chunk repeats the original header (idempotent to fold twice —
+    Every chunk carries the original header (idempotent to fold twice —
     receivers merge vectors element-wise max) and keeps the inner PDUs in
-    sequence order, so per-source FIFO survives the split.  A chunk always
-    carries at least one inner PDU even if that PDU alone exceeds the limit
-    (an oversized application payload cannot be split at this layer), so
-    the split always terminates.  An empty batch returns itself.
+    sequence order, so per-source FIFO survives the split.  One entry
+    differs on every chunk but the last: ``ack[src]`` is capped at that
+    chunk's last inner seq + 1.  The whole-batch value names seqs that
+    travel in a *later* chunk, and a receiver checking the header against
+    what it holds (failure condition 2) would request them at once.  A
+    chunk always carries at least one inner PDU even if that PDU alone
+    exceeds the limit (an oversized application payload cannot be split at
+    this layer), so the split always terminates.  An empty batch returns
+    itself.
     """
     if max_frame_bytes < 1:
         raise CodecError(f"max_frame_bytes must be positive, got {max_frame_bytes}")
@@ -852,26 +858,23 @@ def split_batch(pdu: BatchPdu, max_frame_bytes: int) -> "list[BatchPdu]":
         return [pdu]
     # Chunk header: batch head + two vectors + buf + frame CRC.
     header_size = _S_BATCH.size + 8 * len(pdu.ack) + 4 + _CRC_BYTES
-    chunks: "list[BatchPdu]" = []
-    current: "list[DataPdu]" = []
-    current_size = header_size
+    groups: "list[list[DataPdu]]" = [[]]
+    size = header_size
     for p in pdu.pdus:
         # u32 length prefix + body (bodies carry no per-PDU CRC).
         cost = 4 + _body_size(p)
-        if current and current_size + cost > max_frame_bytes:
-            chunks.append(
-                BatchPdu(cid=pdu.cid, src=pdu.src, ack=pdu.ack,
-                         pack=pdu.pack, buf=pdu.buf, pdus=tuple(current))
-            )
-            current = []
-            current_size = header_size
-        current.append(p)
-        current_size += cost
-    if current:
-        chunks.append(
-            BatchPdu(cid=pdu.cid, src=pdu.src, ack=pdu.ack,
-                     pack=pdu.pack, buf=pdu.buf, pdus=tuple(current))
-        )
+        if groups[-1] and size + cost > max_frame_bytes:
+            groups.append([])
+            size = header_size
+        groups[-1].append(p)
+        size += cost
+    src = pdu.src
+    chunks = []
+    for group in groups[:-1]:
+        ack = list(pdu.ack)
+        ack[src] = min(ack[src], group[-1].seq + 1)
+        chunks.append(replace(pdu, ack=tuple(ack), pdus=tuple(group)))
+    chunks.append(replace(pdu, pdus=tuple(groups[-1])))
     return chunks
 
 

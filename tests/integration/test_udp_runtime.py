@@ -142,6 +142,43 @@ class TestUdpCluster:
         assert sum(m.engine.counters.relays_sent for m in members) == 6
         assert sum(m.engine.counters.relay_forwards for m in members) > 0
 
+    def test_split_frame_raises_no_retransmission_request(self):
+        """A frame split over several datagrams must not read as loss: an
+        early chunk's header once named the seqs of the chunk behind it, and
+        every receiver requested them the moment it read the first chunk."""
+        from repro.core.config import ProtocolConfig
+
+        n, burst = 4, 40
+        config = ProtocolConfig(
+            tick_interval=2e-3, deferred_interval=4e-3, ret_timeout=10e-3,
+            batch_max_pdus=8,
+        )
+
+        async def scenario():
+            members = await udp_cluster(n, base_port=20050, seed=7,
+                                        config=config)
+            try:
+                # Deeper than the window, so frames of up to eight 256 B
+                # PDUs form — past the 1400 B datagram budget.
+                for member in members:
+                    for k in range(burst):
+                        member.broadcast(
+                            bytes([member.index, k]) + b"s" * 254)
+                await quiesce(members)
+            finally:
+                await stop_all(members)
+            return members
+
+        members = run(scenario())
+        assert sum(m.transport.frames_split for m in members) > 0
+        for member in members:
+            assert member.engine.counters.sent_rets == 0
+            assert member.engine.counters.duplicates == 0
+            for src in range(n):
+                assert [m.data[1] for m in member.delivered
+                        if m.data[0] == src] == list(range(burst))
+        verify_run(members[0].trace, n, expect_all_delivered=True).assert_ok()
+
     def test_garbage_datagrams_ignored(self):
         async def scenario():
             members = await udp_cluster(2, base_port=19940, seed=5)

@@ -9,6 +9,8 @@ Two families:
   contract as judged by the independent happened-before oracle.
 """
 
+from dataclasses import replace
+
 from hypothesis import given, settings, strategies as st
 
 from repro.core.cluster import build_cluster
@@ -87,12 +89,22 @@ def test_empty_batch_is_a_control_frame(fields):
 @given(batch_pdus(min_inner=1), st.integers(min_value=1, max_value=400))
 def test_split_batch_preserves_content(pdu, mtu):
     chunks = split_batch(pdu, mtu)
-    # Every chunk is a well-formed frame repeating the confirmation header.
+    # The final chunk carries the original header; every earlier one
+    # differs in ``ack[src]`` alone, capped at its own last seq + 1 so it
+    # never names a seq that travels in a later chunk.
+    assert replace(chunks[-1], pdus=pdu.pdus) == pdu
+    src = pdu.src
     recovered = []
+    previous_cap = 0
     for chunk in chunks:
-        assert chunk.cid == pdu.cid and chunk.src == pdu.src
-        assert chunk.ack == pdu.ack and chunk.pack == pdu.pack
-        assert chunk.buf == pdu.buf
+        cap = chunk.ack[src]
+        assert replace(
+            chunk, ack=pdu.ack, pdus=pdu.pdus,
+        ) == pdu, "header differs outside ack[src]"
+        if chunk is not chunks[-1]:
+            assert cap == min(pdu.ack[src], chunk.seqs[-1] + 1)
+        assert previous_cap <= cap
+        previous_cap = cap
         assert chunk.pdu_count >= 1
         decoded = decode_pdu(encode_pdu(chunk))
         assert encode_pdu(decoded) == encode_pdu(chunk)
