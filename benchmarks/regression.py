@@ -83,7 +83,6 @@ SUITES = ("bench_micro.py", "bench_fig8_processing.py", "bench_scale.py")
 
 FULL = dict(sizes=(4, 8, 16, 32), rounds=160, lag=32, repeats=3,
             messages_per_entity=5, exp_repeats=2,
-            batch_sizes=(1, 8), batch_ns=(8, 32),
             converge_ns=(8, 32), converge_seeds=(11, 12, 13),
             topology_ns=(8, 32), topology_modes=("flood", "ring", "gossip"),
             topology_messages=20,
@@ -94,7 +93,6 @@ FULL = dict(sizes=(4, 8, 16, 32), rounds=160, lag=32, repeats=3,
                                     (64, 8), (256, 8)))
 SMOKE = dict(sizes=(4, 8), rounds=40, lag=8, repeats=2,
              messages_per_entity=3, exp_repeats=1,
-             batch_sizes=(1, 8), batch_ns=(4,),
              converge_ns=(8,), converge_seeds=(11,),
              topology_ns=(8,), topology_modes=("flood", "ring", "gossip"),
              topology_messages=10,
@@ -110,8 +108,6 @@ TRACKED = (
     ("experiments", "per_pdu_us", +1),
     ("experiments", "resident_high_water", +1),
     ("experiments", "deliveries_per_sec", -1),
-    ("batching", "frames_per_delivered_pdu", +1),
-    ("batching", "per_pdu_us", +1),
     ("codec_churn", "bytes_per_op", +1),
     ("convergence", "converge_sim_s_mean", +1),
     ("topology", "copies_per_delivered_pdu", +1),
@@ -308,64 +304,6 @@ def experiment_point(n: int, messages_per_entity: int,
     }
 
 
-def batching_point(n: int, messages_per_entity: int, batch: int,
-                   repeats: int = 1) -> Dict[str, Any]:
-    """One cell of the batching axis: a bursty stream at one frame size.
-
-    The same seeded workload runs at ``batch_max_pdus = batch``; submissions
-    arrive back-to-back (well inside one tick) so the sender-side
-    accumulator genuinely fills frames.  The headline metric is frames per
-    delivered PDU — every frame on the wire (data, control, batch) counted
-    once, divided by application deliveries — next to the measured us/PDU,
-    so the baseline pins both the traffic win and the absence of a CPU
-    regression.
-
-    The hosts are modelled *fast* (low ``cpu_base``/``cpu_per_entity``):
-    the axis measures the frame economy of a cluster carrying the stream,
-    and with the default (paper-scaled SPARC2) CPU a 32-entity cluster at
-    this offered load is saturated outright — every cell would measure
-    congestion-collapse repair traffic, identical with and without
-    batching, rather than batching itself.
-    """
-    config = ExperimentConfig(
-        n=n,
-        messages_per_entity=messages_per_entity,
-        send_interval=1e-4,
-        buffer_capacity=4 * n * 8,
-        batch_max_pdus=batch,
-        cpu_base=10e-6,
-        cpu_per_entity=1e-6,
-    )
-    wall = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        attempt = run_experiment(config)
-        elapsed = time.perf_counter() - start
-        if not attempt.quiesced:
-            raise AssertionError(f"batching run at n={n} did not quiesce")
-        attempt.report.assert_ok()
-        if elapsed < wall:
-            wall, result = elapsed, attempt
-    assert result is not None
-    delivered = result.messages_delivered
-    frames = result.network.get("broadcasts", 0) + result.network.get("unicasts", 0)
-    return {
-        "n": n,
-        "batch": batch,
-        "wall_s": wall,
-        "deliveries": delivered,
-        "frames_on_wire": frames,
-        "frames_per_delivered_pdu": frames / delivered if delivered else 0.0,
-        "per_pdu_us": result.tco_measured * 1e6,
-        "deliveries_per_sec": delivered / wall if wall > 0 else 0.0,
-        "batch_frames": result.network.get("batch_frames", 0),
-        "batched_data_pdus": result.network.get("batched_data_pdus", 0),
-        "acks_coalesced": result.entity_counters.get("acks_coalesced", 0),
-        "verified": True,
-    }
-
-
 def topology_point(n: int, messages_per_entity: int, mode: str,
                    repeats: int = 1) -> Dict[str, Any]:
     """One cell of the dissemination-topology axis (docs/PROTOCOL.md §16).
@@ -374,9 +312,9 @@ def topology_point(n: int, messages_per_entity: int, mode: str,
     headline metric is per-destination datagram *copies* per delivered
     PDU — ``copies_sent`` counts a broadcast as n-1 copies and a relay
     unicast as one, so flood fan-out and relay routes compare on equal
-    footing (the frames-per-delivered metric of the batching axis would
-    count a broadcast once and hide flood's fan-out entirely).  Batching
-    is off so the axis isolates the topology effect, and every mode runs
+    footing (counting frames would count a broadcast once and hide
+    flood's fan-out entirely).  Batching is off so the axis isolates the
+    topology effect, and every mode runs
     with the same anti-entropy cadence (gossip requires it; for flood and
     ring a repair tier that finds no deficit adds only digest traffic).
 
@@ -733,7 +671,6 @@ def measure(mode: Dict[str, Any], smoke: bool, skip_suites: bool) -> Dict[str, A
         "workload": {"rounds": mode["rounds"], "lag": mode["lag"]},
         "engine": [],
         "experiments": [],
-        "batching": [],
         "topology": [],
         "hierarchy": [],
         "hierarchy_engine": [],
@@ -764,24 +701,6 @@ def measure(mode: Dict[str, Any], smoke: bool, skip_suites: bool) -> Dict[str, A
               f"{point['per_pdu_us']:.1f} us/PDU, "
               f"resident high-water {point['resident_high_water']}")
         report["experiments"].append(point)
-    for n in mode["batch_ns"]:
-        cells: Dict[int, Dict[str, Any]] = {}
-        for batch in mode["batch_sizes"]:
-            print(f"[batching] n={n} batch={batch} ...", flush=True)
-            point = batching_point(n, 8 * mode["messages_per_entity"], batch,
-                                   mode["exp_repeats"])
-            print(f"[batching] n={n} batch={batch}: "
-                  f"{point['frames_per_delivered_pdu']:.3f} frames/delivered "
-                  f"PDU, {point['per_pdu_us']:.1f} us/PDU")
-            report["batching"].append(point)
-            cells[batch] = point
-        base_cell = cells.get(1)
-        top = max(cells)
-        if base_cell and top != 1:
-            ratio = (base_cell["frames_per_delivered_pdu"]
-                     / max(cells[top]["frames_per_delivered_pdu"], 1e-12))
-            print(f"[batching] n={n}: batch={top} sends {ratio:.2f}x fewer "
-                  f"frames per delivered PDU than batch=1")
     for n in mode["topology_ns"]:
         cells_by_mode: Dict[str, Dict[str, Any]] = {}
         for topo in mode["topology_modes"]:
@@ -1016,11 +935,10 @@ def hierarchy_gate(report: Dict[str, Any]) -> List[str]:
 
 
 def _index_points(section: List[Dict[str, Any]]) -> Dict[Tuple, Dict[str, Any]]:
-    # Batching points carry a second axis, topology points a mode,
-    # codec-churn points a shape label and hierarchy points a group
-    # size; plain points key on n alone.
+    # Topology points carry a mode, codec-churn points a shape label and
+    # hierarchy points a group size; plain points key on n alone.
     return {
-        (point["n"], point.get("batch"), point.get("op"), point.get("mode"),
+        (point["n"], point.get("op"), point.get("mode"),
          point.get("group_size")): point
         for point in section
     }
@@ -1044,7 +962,7 @@ def compare(current: Dict[str, Any], baseline: Dict[str, Any],
         base_points = _index_points(baseline.get(section, []))
         for point in current.get(section, []):
             base = base_points.get(
-                (point["n"], point.get("batch"), point.get("op"),
+                (point["n"], point.get("op"),
                  point.get("mode"), point.get("group_size"))
             )
             if base is None or key not in base or key not in point:
@@ -1059,8 +977,6 @@ def compare(current: Dict[str, Any], baseline: Dict[str, Any],
             else:
                 better = "improved" if delta * direction < 0 else "regressed"
             axis = f"n={point['n']}"
-            if point.get("batch") is not None:
-                axis += f",batch={point['batch']}"
             if point.get("op") is not None:
                 axis += f",op={point['op']}"
             if point.get("mode") is not None:

@@ -878,6 +878,24 @@ def split_batch(pdu: BatchPdu, max_frame_bytes: int) -> "list[BatchPdu]":
     return chunks
 
 
+def datagram_pdu_count(data: Buffer) -> int:
+    """Data PDUs a raw datagram claims to carry, read before any decoding.
+
+    A batch frame says so in the ``count`` field of its fixed header, which
+    is clamped to what the datagram's length could hold — the CRC has not
+    been checked yet, and a lying header must not claim more receive buffer
+    than its bytes could fill.  Everything else (other types, an empty
+    batch, bytes too short to tell) counts as one.
+    """
+    if len(data) < _S_BATCH.size or data[0] != _TYPE_BATCH:
+        return 1
+    _, _, _, _, n, count = _S_BATCH.unpack_from(data, 0)
+    room = len(data) - (_S_BATCH.size + 8 * n + 4 + _CRC_BYTES)
+    # One inner PDU: u32 length prefix + a data body with an empty payload.
+    inner = 4 + _S_DATA.size + 4 * n + _S_DATA_TAIL.size
+    return max(1, min(count, room // inner))
+
+
 def _body_size(pdu: AnyPdu) -> int:
     """Exact body length (no CRC trailer), computed arithmetically."""
     if isinstance(pdu, DataPdu):

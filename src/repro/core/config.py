@@ -203,18 +203,18 @@ class ProtocolConfig:
     #: through repeated suspect/unsuspect cycles into eviction churn.
     #: ``0`` (default) disables the cool-down.
     resuspect_cooldown: float = 0.0
-    #: Frame batching (docs/PROTOCOL.md §14): accumulate up to this many
-    #: data PDUs per :class:`~repro.core.pdu.BatchPdu` frame before
-    #: flushing.  ``1`` (default) disables batching — every data PDU is its
-    #: own frame, byte-identical to the unbatched protocol.
+    #: Frame batching (docs/PROTOCOL.md §14): what one pump of the send
+    #: queue releases — the data PDUs a reopened flow window lets out at
+    #: once — travels as one :class:`~repro.core.pdu.BatchPdu` frame of at
+    #: most this many PDUs.  Nothing waits to fill a frame: a pump that
+    #: releases one PDU sends the bare data PDU.  ``1`` (default) is the
+    #: paper's wire, one frame per data PDU, and the conformance baseline;
+    #: the real-socket runtimes default to 8 (``DEFAULT_RUNTIME_CONFIG``).
     batch_max_pdus: int = 1
-    #: Flush an open batch once its modelled wire size reaches this many
+    #: Also cut a frame once its modelled wire size reaches this many
     #: bytes (``0`` disables the byte cap).  Only meaningful with
     #: ``batch_max_pdus > 1``.
     batch_max_bytes: int = 0
-    #: Flush any open batch on the housekeeping tick, bounding the extra
-    #: latency a batched PDU can incur to one ``tick_interval``.
-    batch_flush_on_tick: bool = True
     #: Anti-entropy repair layer (docs/PROTOCOL.md §15): every this many
     #: seconds, send a compact digest (delivered + receipt frontiers + view
     #: id) to one deterministically-rotated live peer, who answers with a
@@ -440,7 +440,7 @@ class ProtocolConfig:
 
     @property
     def batching_enabled(self) -> bool:
-        """True when data PDUs are accumulated into batch frames."""
+        """True when one pump's data PDUs may share a batch frame."""
         return self.batch_max_pdus > 1
 
     @property

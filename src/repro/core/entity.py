@@ -149,20 +149,13 @@ class EntityCounters:
     sent_batches: int = 0
     #: Data PDUs that travelled inside a batch frame.
     batched_pdus: int = 0
-    #: Batch flushes because the frame reached ``batch_max_pdus``/``_bytes``.
+    #: Batch frames cut short because the pump's output reached
+    #: ``batch_max_pdus``/``_bytes`` (the rest went out in a further frame).
     batch_flush_full: int = 0
-    #: Batch flushes by the housekeeping tick (``batch_flush_on_tick``).
-    batch_flush_tick: int = 0
-    #: Batch flushes forced because another PDU had to go out first (the
-    #: FIFO rule: no sequenced or control PDU overtakes accumulated data).
-    batch_flush_inline: int = 0
     #: Batch frames received.
     recv_batches: int = 0
     #: Data PDUs unbatched out of received frames.
     recv_batched_pdus: int = 0
-    #: Heartbeats suppressed because a flushed batch header already carried
-    #: the same confirmation vectors (ACK coalescing).
-    acks_coalesced: int = 0
     #: Anti-entropy digests sent (repair extension, docs/PROTOCOL.md §15).
     digests_sent: int = 0
     #: Digests received (as target or bystander).
@@ -379,8 +372,9 @@ class COEntity:
             )
         #: Application data waiting for the flow condition: (data, size).
         self._pending: Deque[Tuple[Any, int]] = deque()
-        #: Open batch frame: own data PDUs accumulated but not yet on the
-        #: wire (batching extension; always empty with ``batch_max_pdus=1``).
+        #: The frame one :meth:`_pump` is filling (docs/PROTOCOL.md §14):
+        #: own data PDUs built but not yet on the wire.  Empty whenever
+        #: ``submit`` / ``on_pdu`` / ``on_tick`` returns.
         self._batch: List[DataPdu] = []
         self._batch_bytes = 0
         #: Sources heard from since this entity's last transmission.
@@ -637,12 +631,6 @@ class COEntity:
             self._send_pull(self._pull_target(), escalated, reason="escalate")
         self.counters.ret_retries = self.gaps.total_retries
         self._repair_tick(now)
-        if self._batch and self.config.batch_flush_on_tick:
-            # Bound the batching latency to one tick; the flush stamps
-            # ``_last_send_time``, so the deferred-confirmation check below
-            # stays quiet this round (the frame header is the confirmation).
-            self.counters.batch_flush_tick += 1
-            self._flush_batch()
         # The timer does two jobs under two rules (docs/PROTOCOL.md §7).
         # "My vectors changed": whatever differs from the last confirmed
         # vectors goes out as a plain confirmation once ``deferred_interval``
@@ -709,7 +697,12 @@ class COEntity:
     # Transmission (§4.2)
     # ------------------------------------------------------------------
     def _pump(self) -> int:
-        """Send as many pending DT requests as the flow condition allows."""
+        """Send as many pending DT requests as the flow condition allows.
+
+        What one pump releases is one frame (docs/PROTOCOL.md §14): the
+        PDUs were already queued, so packing them costs no waiting, and no
+        batch outlives the pump that opened it.
+        """
         sent = 0
         while self._pending:
             decision = self.flow.check(self.sl.next_seq)
@@ -728,10 +721,15 @@ class COEntity:
             sent += 1
         if sent:
             self._flow_block_announced = False
+            self._flush_batch()
+            self._pack_action()
         return sent
 
     def _broadcast_data(self, data: Optional[Any], size: int) -> None:
-        """The transmission action: build, log, broadcast and self-accept."""
+        """The transmission action: build, log and self-accept one data PDU
+        into the open frame.  The frame goes out here once it is full —
+        with ``batch_max_pdus = 1`` that is every PDU — and otherwise when
+        the calling :meth:`_pump` ends; the caller runs the PACK action."""
         pdu = DataPdu(
             cid=self.config.cluster_id,
             src=self.index,
@@ -746,76 +744,61 @@ class COEntity:
             self.counters.sent_null += 1
         else:
             self.counters.sent_data += 1
-        if self.config.batching_enabled:
-            # Accumulate instead of sending; the PDU still self-accepts now
-            # (its ACK vector — its causal coordinates — was stamped above
-            # and is final).  The frame flushes when full, on the tick, or
-            # inline before any other PDU would overtake it.
-            self._batch.append(pdu)
-            self._batch_bytes += pdu.wire_size()
-            self._accept(pdu)
-            self._pack_action()
-            cfg = self.config
-            if len(self._batch) >= cfg.batch_max_pdus or (
-                cfg.batch_max_bytes and self._batch_bytes >= cfg.batch_max_bytes
-            ):
-                self.counters.batch_flush_full += 1
-                self._flush_batch()
-            return
-        self._note_transmission()
-        self._send_frame(pdu)
+        self._batch.append(pdu)
         # Self-acceptance: the sender's own copy enters its receipt machinery
-        # immediately, keeping REQ/AL uniform across the cluster.
+        # immediately, keeping REQ/AL uniform across the cluster (its ACK
+        # vector — its causal coordinates — was stamped above and is final).
         self._accept(pdu)
-        self._pack_action()
+        cfg = self.config
+        if cfg.batch_max_bytes:
+            self._batch_bytes += pdu.wire_size()
+        if len(self._batch) >= cfg.batch_max_pdus or (
+            cfg.batch_max_bytes and self._batch_bytes >= cfg.batch_max_bytes
+        ):
+            if len(self._batch) > 1:
+                self.counters.batch_flush_full += 1
+            self._flush_batch()
 
     def _flush_batch(self) -> None:
-        """Put the open batch on the wire as one frame.
+        """Put the open frame on the wire.
 
-        The header vectors are stamped *now* — the freshest confirmation
-        this entity can give — and recorded as confirmed, so the next
-        deferred heartbeat carrying identical vectors is suppressed (ACK
-        coalescing, docs/PROTOCOL.md §14).
+        Every outgoing sequenced PDU carries REQ — it *is* a confirmation.
+        One PDU goes out bare and confirms the ACK vector it was built
+        with.  Several go out as one :class:`BatchPdu` whose header vectors
+        are stamped *now* — the freshest confirmation this entity can give
+        — so the next heartbeat carrying identical vectors is suppressed.
         """
-        if not self._batch:
+        batch = self._batch
+        if not batch:
             return
-        pack = tuple(self._preack_floor)
-        frame = BatchPdu(
-            cid=self.config.cluster_id,
-            src=self.index,
-            ack=self.state.req_vector(),
-            pack=pack,
-            buf=self._advertised_buf(),
-            pdus=tuple(self._batch),
-        )
-        self.counters.sent_batches += 1
-        self.counters.batched_pdus += frame.pdu_count
         self._batch = []
         self._batch_bytes = 0
-        self._note_transmission()
-        self._last_confirmed_pack = pack
-        self._trace.record(
-            self.now, "batch", self.index,
-            count=frame.pdu_count, seqs=list(frame.seqs),
-        )
-        self._send_frame(frame)
-
-    def _note_transmission(self) -> None:
-        """Every outgoing sequenced PDU carries REQ — it *is* a confirmation."""
-        self._last_confirmed_req = self.state.req_vector()
         self._heard_from.clear()
         self._last_send_time = self.now
+        if len(batch) == 1:
+            frame: Any = batch[0]
+        else:
+            frame = BatchPdu(
+                cid=self.config.cluster_id,
+                src=self.index,
+                ack=self.state.req_vector(),
+                pack=tuple(self._preack_floor),
+                buf=self._advertised_buf(),
+                pdus=tuple(batch),
+            )
+            self.counters.sent_batches += 1
+            self.counters.batched_pdus += len(batch)
+            self._last_confirmed_pack = frame.pack
+            self._trace.record(
+                self.now, "batch", self.index,
+                count=len(batch), seqs=list(frame.seqs),
+            )
+        self._last_confirmed_req = frame.ack
+        self._send_frame(frame)
 
     def _send(self, pdu: Any) -> None:
         if self._send_fn is None:
             raise ProtocolError("engine used before bind()")
-        if self._batch and not isinstance(pdu, BatchPdu):
-            # FIFO rule: accumulated data goes out before any other PDU.
-            # Anything built after the batch carries knowledge (REQ covers
-            # the batched seqs) that would otherwise make receivers request
-            # retransmission of data still sitting here.
-            self.counters.batch_flush_inline += 1
-            self._flush_batch()
         self._send_fn(pdu)
 
     # ------------------------------------------------------------------
@@ -824,12 +807,6 @@ class COEntity:
     def _unicast(self, dst: int, pdu: Any) -> None:
         if self._unicast_fn is None:
             raise ProtocolError("engine used before bind()")
-        if self._batch and not isinstance(pdu, BatchPdu):
-            # Same FIFO rule as :meth:`_send`: a relay wrapper's min_ack
-            # includes our own REQ, which covers seqs still sitting in the
-            # open batch — flush them first or receivers RET data we hold.
-            self.counters.batch_flush_inline += 1
-            self._flush_batch()
         self._unicast_fn(dst, pdu)
 
     def _send_repair(self, to: int, frame: Any) -> None:
@@ -1017,9 +994,9 @@ class COEntity:
     def _on_data(self, p: DataPdu, folded: bool = False) -> None:
         """``folded=True`` marks an inner PDU of a batch whose ACK vectors
         were already merged column-wise in one pass (:meth:`_on_batch`):
-        the per-PDU AL/BUF folds and the per-PDU failure-condition-(2)
-        check are skipped — the frame-level fold and the end-of-batch
-        header check dominate them."""
+        the per-PDU AL/BUF folds, the per-PDU failure-condition-(2) check
+        and the PACK / confirm / pump tail are skipped — the frame-level
+        fold, header check and tail dominate them."""
         src = p.src
         if src == self.index:
             # Our own rebroadcast echoed back by a peer relay — impossible in
@@ -1064,9 +1041,10 @@ class COEntity:
                 self.counters.discarded_out_of_order += 1
             if self.gaps.note(src, p.seq, self.now):
                 self._send_ret(src, p.seq)
+        if folded:
+            return  # :meth:`_on_batch` runs the tail once for the frame
         # Failure condition (2) applies to every received PDU's ACK vector.
-        if not folded:
-            self._check_ack_gaps(p.ack, carrier=src)
+        self._check_ack_gaps(p.ack, carrier=src)
         self._pack_action()
         self._maybe_confirm()
         self._pump()
@@ -2253,29 +2231,18 @@ class COEntity:
             # A rejoining incarnation has no confirmable state yet; its only
             # voice is the join protocol.
             return
-        if self._pending:
-            if self._pump():
-                if self._batch:
-                    # The pump accumulated without filling a frame; flush so
-                    # the confirmation actually reaches the wire.
-                    self.counters.acks_coalesced += 1
-                    self._flush_batch()
-                return
-            # Flow-blocked data: fall through and confirm out of band (the
-            # heartbeat also refreshes our BUF advertisement, which is what
-            # usually reopens the window).
-        if self._batch:
-            # ACK coalescing: the open batch's header carries exactly the
-            # REQ/PACK vectors a heartbeat would — flush it instead.
-            self.counters.acks_coalesced += 1
-            self._flush_batch()
+        if self._pending and self._pump():
             return
+        # No data, or flow-blocked data: confirm out of band (the heartbeat
+        # also refreshes our BUF advertisement, which is what usually
+        # reopens the window).
         if self.config.strict_paper_mode:
             if self.state.req_vector() == self._last_confirmed_req:
                 return
             decision = self.flow.check(self.sl.next_seq)
             if decision.allowed or force:
                 self._broadcast_data(None, 0)
+                self._pack_action()
             return
         req = self.state.req_vector()
         pack = tuple(self._preack_floor)
@@ -2381,7 +2348,6 @@ class COEntity:
             "peer_store": sum(len(s) for s in self._peer_store),
             "gap_backlog": self.gaps.open_gaps,
             "resident": self.resident_pdus,
-            "batch_open": len(self._batch),
             # The flow-gating minBUF.  Before any live peer has advertised,
             # min_buf() is the optimistic cold-start sentinel, not a
             # measurement — report -1 ("unknown") so the flight recorder
@@ -2412,7 +2378,6 @@ class COEntity:
         """No pending work: nothing to send, no open gaps, logs drained."""
         return (
             not self._pending
-            and not self._batch
             and self.gaps.open_gaps == 0
             and self.rrl.total == 0
             and not self.prl

@@ -77,9 +77,6 @@ class ExperimentConfig:
     window: int = 8
     deferred_interval: float = 2e-3
     ret_timeout: float = 4e-3
-    #: Sender-side frame batching (1 = off, the classic one-PDU-per-frame
-    #: wire behaviour; >1 enables accumulation + ACK coalescing).
-    batch_max_pdus: int = 1
     #: Dissemination topology: "flood" (all-to-all, the paper's medium),
     #: "ring" or "gossip" (relay routes, docs/PROTOCOL.md §16).
     dissemination: str = "flood"
@@ -209,7 +206,6 @@ def _protocol_config(config: ExperimentConfig) -> ProtocolConfig:
         window=config.window,
         deferred_interval=config.deferred_interval,
         ret_timeout=config.ret_timeout,
-        batch_max_pdus=config.batch_max_pdus,
         dissemination=DisseminationMode(config.dissemination),
         gossip_fanout=config.gossip_fanout,
         gossip_seed=config.gossip_seed,

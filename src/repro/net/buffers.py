@@ -76,8 +76,9 @@ class ReceiveBuffer:
         size, and charging it ``H`` would let unregulated control chatter
         consume the capacity the flow condition promised to data.
 
-        Raw datagrams (which cannot be sized before decoding) charge one
-        data PDU's worth, exactly as before.
+        Anything else that cannot say how many it carries charges one data
+        PDU's worth; the UDP runtime's inbox of raw datagrams reads the
+        count off the wire header instead (``runtime/udp.py``).
         """
         if getattr(pdu, "is_control", False):
             return 1

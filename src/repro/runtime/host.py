@@ -24,6 +24,17 @@ from repro.runtime.transport import LocalAsyncTransport
 from repro.sim.trace import FlightRecorder, TraceLog
 
 
+#: What the wall-clock runtimes (:class:`AsyncCluster`,
+#: :class:`~repro.runtime.udp.UdpMember`) run when handed no config.  They
+#: tick faster than the LAN-simulation defaults so recovery reacts within
+#: human-scale test budgets, and a pump's output shares one frame of up to
+#: 8 PDUs — the default ``window``, the most one pump can release.
+DEFAULT_RUNTIME_CONFIG = ProtocolConfig(
+    tick_interval=2e-3, deferred_interval=4e-3, ret_timeout=10e-3,
+    batch_max_pdus=8,
+)
+
+
 def lazy_loop_clock() -> Callable[[], float]:
     """A monotonic clock that binds to the running loop's clock on first
     in-loop call.
@@ -195,11 +206,7 @@ class AsyncCluster:
     ):
         if n < 2:
             raise ValueError(f"a cluster needs at least 2 members, got {n}")
-        # Real-time runs tick faster than the LAN-simulation defaults so
-        # recovery reacts within human-scale test budgets.
-        self.config = config or ProtocolConfig(
-            tick_interval=2e-3, deferred_interval=4e-3, ret_timeout=10e-3,
-        )
+        self.config = config or DEFAULT_RUNTIME_CONFIG
         # Bounded by default, like every wall-clock runtime: pass
         # ``TraceLog()`` for a complete log (see UdpMember).
         self.trace = trace if trace is not None else FlightRecorder()

@@ -44,12 +44,16 @@ import random
 import socket
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from repro.core.codec import decode_pdu_safe, encode_pdu_view, split_batch
+from repro.core.codec import (
+    datagram_pdu_count, decode_pdu_safe, encode_pdu_view, split_batch,
+)
 from repro.core.pdu import BatchPdu
 from repro.core.config import ProtocolConfig
 from repro.core.entity import COEntity, DeliveredMessage
 from repro.net.buffers import ReceiveBuffer
-from repro.runtime.host import AsyncEntityHost, lazy_loop_clock
+from repro.runtime.host import (
+    DEFAULT_RUNTIME_CONFIG, AsyncEntityHost, lazy_loop_clock,
+)
 from repro.runtime.transport import Sink
 from repro.sim.trace import FlightRecorder, TraceLog
 
@@ -67,6 +71,16 @@ RECV_BURST = 32
 
 #: Larger than any UDP payload, so ``recv`` never truncates a datagram.
 _MAX_DATAGRAM = 65536
+
+
+class _DatagramInbox(ReceiveBuffer):
+    """The §2.1 inbox of raw datagrams.  A batch frame occupies one PDU's
+    worth of units per data PDU it carries, as a decoded frame does in the
+    simulator's buffer — so the BUF this member advertises counts the data
+    PDUs it has yet to read, not the datagrams they came in."""
+
+    def _units(self, data: bytes) -> int:
+        return self.units_per_pdu * datagram_pdu_count(data)
 
 
 def _parse(address: str) -> Address:
@@ -114,7 +128,7 @@ class UdpTransport:
         #: §2.1 model made literal.  Frames arriving when it is full are
         #: overruns (counted in ``inbox.stats``), exactly the loss the
         #: protocol's RET machinery repairs.
-        self.inbox = ReceiveBuffer(
+        self.inbox: ReceiveBuffer = _DatagramInbox(
             capacity_units=inbox_capacity_units, units_per_pdu=units_per_pdu,
         )
         #: Called with a reason (and details) for every datagram dropped on
@@ -307,9 +321,7 @@ class UdpMember:
         inbox_capacity_units: int = 4096,
         max_frame_bytes: int = 1400,
     ):
-        self.config = config or ProtocolConfig(
-            tick_interval=2e-3, deferred_interval=4e-3, ret_timeout=10e-3,
-        )
+        self.config = config or DEFAULT_RUNTIME_CONFIG
         self.index = index
         # A wall-clock run has no natural end, so the default trace is the
         # bounded recorder; pass ``TraceLog()`` to keep every record (the

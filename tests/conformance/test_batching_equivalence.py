@@ -1,8 +1,11 @@
 """Conformance: batching changes the wire, not the service.
 
 The same seeded workload runs twice — once with classic one-PDU frames
-(``batch_max_pdus=1``) and once with batching (``batch_max_pdus=8``) — and
-the *application-visible* outcome must be indistinguishable:
+(``batch_max_pdus=1``) and once with up to eight PDUs per frame
+(``batch_max_pdus=8``) — and the *application-visible* outcome must be
+indistinguishable.  A frame is what one pump of the send queue releases,
+so only a sender blocked on its flow window ever has several PDUs to
+pack: the storm submits three windows' worth per member at once.
 
 * for workloads whose causal structure forces a total order (a chain, a
   single sender), the per-entity delivery sequences are **identical**;
@@ -24,6 +27,10 @@ from repro.ordering.checker import verify_run
 from repro.sim.rng import RngRegistry
 from repro.workloads.adversarial import ChainWorkload, StormWorkload
 from repro.workloads.generators import ContinuousWorkload
+
+#: Bursts three default windows deep: the first W go out one by one as they
+#: are submitted, the rest leave in whatever the reopening window releases.
+DEEP_STORM = StormWorkload(batch=24)
 
 
 def _run(batch, workload, n=4, seed=11, loss=None):
@@ -97,7 +104,7 @@ class TestConcurrentEquivalent:
 
     @pytest.mark.parametrize("workload", [
         ContinuousWorkload(messages_per_entity=12, interval=3e-4),
-        StormWorkload(batch=8),
+        DEEP_STORM,
     ], ids=["continuous", "storm"])
     def test_sets_subsequences_and_floors_agree(self, workload):
         n = 4
@@ -130,11 +137,16 @@ class TestBatchingEngaged:
     """The batch=8 run genuinely batched (guards against a silent no-op)."""
 
     def test_frames_carry_multiple_pdus(self):
-        cluster = _run(8, StormWorkload(batch=8))
+        cluster = _run(8, DEEP_STORM)
         stats = cluster.network.stats
         assert stats.batch_frames > 0
-        assert stats.batched_data_pdus > stats.batch_frames
+        assert stats.batched_data_pdus >= 2 * stats.batch_frames
+        # Every member was blocked on its window and released several at once.
+        for host in cluster.hosts:
+            counters = host.engine.counters
+            assert counters.flow_blocked > 0
+            assert counters.batched_pdus >= 2 * counters.sent_batches > 0
 
     def test_unbatched_run_has_no_batch_frames(self):
-        cluster = _run(1, StormWorkload(batch=8))
+        cluster = _run(1, DEEP_STORM)
         assert cluster.network.stats.batch_frames == 0

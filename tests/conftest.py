@@ -19,6 +19,8 @@ class EngineDriver:
     path, as every shipped host does; its ``(dst, pdu)`` pairs land in
     ``driver.unicasts``.  ``driver.advertised_buf`` is what the engine reads
     as its host's free inbox units; lower it to simulate unread input.
+    Every entry point also checks that no batch outlives the call that
+    opened it (docs/PROTOCOL.md §14).
     """
 
     def __init__(self, index: int, n: int, config: Optional[ProtocolConfig] = None,
@@ -51,15 +53,18 @@ class EngineDriver:
     def submit(self, data, size=0) -> Optional[DataPdu]:
         before = len(self.sent)
         self.engine.submit(data, size)
+        assert not self.engine._batch
         fresh = [p for p in self.sent[before:] if isinstance(p, DataPdu)]
         return fresh[0] if fresh else None
 
     def receive(self, pdu) -> None:
         self.engine.on_pdu(pdu)
+        assert not self.engine._batch
 
     def tick(self, dt: float = 0.0) -> None:
         self.clock += dt
         self.engine.on_tick()
+        assert not self.engine._batch
 
     # ------------------------------------------------------------------
     # Inspection

@@ -31,14 +31,16 @@ def _engine_totals(cluster):
 
 class TestBatchOverrunRepair:
     def test_batch_frame_lost_to_overrun_is_repaired(self):
-        """A storm overruns the tiny receive buffers frame by frame; every
-        PDU inside every lost frame must still reach every entity."""
+        """A storm overruns small receive buffers while the senders batch;
+        every PDU of every lost frame must still reach every entity."""
         n = 4
-        per_entity = 8
+        per_entity = 24  # three windows deep, so multi-PDU frames form
         cluster = build_cluster(
             n,
             config=ProtocolConfig(batch_max_pdus=4, window=8),
-            buffer_capacity=2 * n,  # the legal minimum: two frames' worth
+            # Small enough to overrun under the storm, large enough that the
+            # BUF-scaled window (§4.2) still lets two PDUs out at once.
+            buffer_capacity=5 * n,
             cpu=CpuModel(base=400e-6, per_entity=80e-6),  # slow receivers
             rngs=RngRegistry(2),
         )
@@ -105,7 +107,9 @@ class TestUdpBatching:
                 ),
             )
             try:
-                for k in range(8):
+                # Three windows' worth per member: frames form once the
+                # flow window is what paces them.
+                for k in range(72):
                     members[k % 3].broadcast(f"udp-batch-{k}".encode())
                 await self._quiesce(members)
             finally:
@@ -115,14 +119,16 @@ class TestUdpBatching:
 
         members = self._run(scenario())
         for member in members:
-            assert len(member.delivered) == 8
+            assert len(member.delivered) == 72
+            assert member.engine.counters.sent_batches > 0
         report = verify_run(members[0].trace, 3, expect_all_delivered=True)
         report.assert_ok()
 
     def test_oversized_frame_splits_into_datagrams(self):
         async def scenario():
             # A tiny MTU forces every multi-PDU frame apart; payloads are
-            # big enough that even two inner PDUs exceed it.
+            # big enough that even two inner PDUs exceed it.  The burst is
+            # three windows deep so that multi-PDU frames form at all.
             members = await udp_cluster(
                 3, base_port=19970, seed=9, max_frame_bytes=300,
                 config=ProtocolConfig(
@@ -131,8 +137,8 @@ class TestUdpBatching:
                 ),
             )
             try:
-                for k in range(6):
-                    members[0].broadcast(("x" * 150 + f"-{k}").encode())
+                for k in range(24):
+                    members[0].broadcast(("x" * 150 + f"-{k:02d}").encode())
                 await self._quiesce(members)
             finally:
                 for member in members:
@@ -142,7 +148,7 @@ class TestUdpBatching:
         members = self._run(scenario())
         for member in members:
             payloads = [m.data for m in member.delivered]
-            assert len(payloads) == 6
+            assert len(payloads) == 24
             assert payloads == sorted(payloads)  # FIFO from the one sender
         assert members[0].transport.frames_split > 0
         report = verify_run(members[0].trace, 3, expect_all_delivered=True)

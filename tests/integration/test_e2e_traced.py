@@ -9,7 +9,9 @@ the traced child with ``AttributeError`` — a failed benchmark run — and
 nothing else notices: the harness's own smoke test and ``--smoke`` run with
 ``--trace 0`` and install no wrapper.  This test installs them all, on the
 simulator and on real loopback sockets, and checks the ledger still covers
-the run.
+the run.  ``udp_bulk`` is the one workload whose senders are paced by the
+flow window, so it is also the only place a ``BatchPdu`` is encoded, split
+at the datagram budget and decoded on a socket.
 """
 
 import json
@@ -22,7 +24,7 @@ import pytest
 RUN = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e" / "run.py"
 
 
-@pytest.mark.parametrize("workload", ["sim_wide", "udp_steady"])
+@pytest.mark.parametrize("workload", ["sim_wide", "udp_steady", "udp_bulk"])
 def test_traced_harness_run_completes_and_the_ledger_covers_it(workload):
     done = subprocess.run(
         [sys.executable, str(RUN), "--workload", workload, "--seed", "1",
@@ -43,3 +45,7 @@ def test_traced_harness_run_completes_and_the_ledger_covers_it(workload):
     else:
         assert metrics["codec.decode_calls"] > 0
         assert metrics["udp.datagrams_per_msg"] > 0
+    if workload == "udp_bulk":
+        # Multi-PDU frames, and none of them mistaken for loss.
+        assert metrics["codec.bytes_per_frame"] > 400
+        assert metrics["retransmit.rets_sent"] == 0

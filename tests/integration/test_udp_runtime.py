@@ -283,6 +283,48 @@ class TestBoundedInbox:
         assert member.engine._advertised_buf() == inbox.free_units
 
 
+    def test_batch_datagram_is_charged_per_data_pdu(self):
+        """A datagram of k data PDUs occupies k PDUs' worth of the inbox, so
+        the advertised BUF counts unread data PDUs, not datagrams."""
+        from repro.core.pdu import BatchPdu, DataPdu
+
+        transport = UdpTransport(
+            0, ["127.0.0.1:1", "127.0.0.1:2"],
+            inbox_capacity_units=16, units_per_pdu=2,
+        )
+        inbox = transport.inbox
+
+        def batch(count):
+            return encode_pdu(BatchPdu(
+                cid=1, src=1, ack=(1, 1), pack=(1, 1), buf=0,
+                pdus=tuple(
+                    DataPdu(cid=1, src=1, seq=s, ack=(1, 1), buf=0, data=b"d")
+                    for s in range(1, count + 1)
+                ),
+            ))
+
+        transport._on_datagram(batch(3))
+        assert inbox.used_units == 6
+        # Everything else — an empty batch included — charges as one PDU.
+        transport._on_datagram(batch(0))
+        transport._on_datagram(encode_pdu(HeartbeatPdu(
+            cid=1, src=1, ack=(1, 1), pack=(1, 1), buf=0)))
+        transport._on_datagram(b"\x07")
+        assert inbox.used_units == 12
+        # The count is read before the CRC is checked: a header claiming
+        # more PDUs than the datagram could hold is clamped to its length.
+        lying = bytearray(batch(1))
+        lying[10:12] = (0xFFFF).to_bytes(2, "big")
+        transport._on_datagram(bytes(lying))
+        assert inbox.used_units == 14
+        # A frame that needs more than is free is one overrun, whole.
+        transport._on_datagram(batch(2))
+        assert (inbox.used_units, inbox.stats.overruns) == (14, 1)
+        for _ in range(5):
+            inbox.pop()
+        assert inbox.used_units == 0
+
+
 class TestRunToCompletion:
     """The datagram path: burst-drain on readable, engine called
     synchronously, direct sends that never raise into the engine."""

@@ -1,4 +1,4 @@
-"""Property-based tests for frame batching and ACK coalescing.
+"""Property-based tests for frame batching.
 
 Two families:
 
@@ -6,7 +6,12 @@ Two families:
   codec, including MTU splits and the empty (pure-confirmation) frame;
 * protocol properties — a cluster mixing batched and unbatched senders
   under injected loss and duplication still satisfies the full CO service
-  contract as judged by the independent happened-before oracle.
+  contract as judged by the independent happened-before oracle, and a run
+  capped at k PDUs per frame delivers what the one-PDU-per-frame run does.
+
+A frame is what one pump of the send queue releases, so the protocol
+properties draw the flow window too: bursts deeper than it are what make
+multi-PDU frames.
 """
 
 from dataclasses import replace
@@ -140,13 +145,14 @@ def _mixed_factory(index, n, config, clock, trace, advertised_buf, joining=False
     loss_rate=st.sampled_from((0.0, 0.05, 0.15)),
     duplicate=st.booleans(),
     per_entity=st.integers(min_value=1, max_value=8),
+    window=st.integers(min_value=1, max_value=8),
 )
 def test_mixed_batching_preserves_causal_order(
-    seed, n, batch, loss_rate, duplicate, per_entity
+    seed, n, batch, loss_rate, duplicate, per_entity, window
 ):
     cluster = build_cluster(
         n,
-        config=ProtocolConfig(batch_max_pdus=batch),
+        config=ProtocolConfig(batch_max_pdus=batch, window=window),
         loss=BernoulliLoss(loss_rate, protect_control=True) if loss_rate else None,
         duplication=DuplicatingChannel(rate=0.2, max_extra=1) if duplicate else None,
         rngs=RngRegistry(seed),
@@ -169,7 +175,7 @@ def test_batching_under_loss_delivers_everything(seed, batch):
     n = 4
     cluster = build_cluster(
         n,
-        config=ProtocolConfig(batch_max_pdus=batch),
+        config=ProtocolConfig(batch_max_pdus=batch, window=2),
         loss=BernoulliLoss(0.2, protect_control=True),
         rngs=RngRegistry(seed),
     )
@@ -179,3 +185,48 @@ def test_batching_under_loss_delivers_everything(seed, batch):
     verify_run(cluster.trace, n, expect_all_delivered=True).assert_ok()
     for i in range(n):
         assert len(cluster.delivered(i)) == 3 * n
+
+
+def _outcome(cluster):
+    """What the service pins down: per member, the delivered set, each
+    source's delivery order, and the final PACK floor and REQ vector."""
+    out = []
+    for host in cluster.hosts:
+        per_source = [[] for _ in range(cluster.n)]
+        for m in cluster.delivered(host.index):
+            per_source[m.src].append(m.seq)
+        out.append((
+            per_source,
+            tuple(host.engine._preack_floor),
+            tuple(host.engine.state.req),
+        ))
+    return out
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    seed=st.integers(min_value=0, max_value=2 ** 16),
+    n=st.integers(min_value=2, max_value=5),
+    window=st.integers(min_value=1, max_value=8),
+    cap=st.integers(min_value=2, max_value=8),
+    bursts=st.lists(st.integers(min_value=0, max_value=20), min_size=5, max_size=5),
+    loss_rate=st.sampled_from((0.0, 0.02, 0.1)),
+)
+def test_capped_run_agrees_with_the_one_pdu_per_frame_run(
+    seed, n, window, cap, bursts, loss_rate
+):
+    def run(batch_max_pdus):
+        cluster = build_cluster(
+            n,
+            config=ProtocolConfig(batch_max_pdus=batch_max_pdus, window=window),
+            loss=BernoulliLoss(loss_rate, protect_control=True) if loss_rate else None,
+            rngs=RngRegistry(seed),
+        )
+        for i in range(n):
+            for k in range(bursts[i]):
+                cluster.submit(i, f"b-{i}-{k}")
+        cluster.run_until_quiescent(max_time=120.0)
+        verify_run(cluster.trace, n, expect_all_delivered=True).assert_ok()
+        return cluster
+
+    assert _outcome(run(cap)) == _outcome(run(1))

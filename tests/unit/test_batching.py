@@ -1,18 +1,19 @@
 """Unit tests for the batching layer: BatchPdu, config, codec, engine.
 
-The frame format and sender-side accumulation rules; the receiver-side
-unbatching path and inner-before-header fold order are exercised through a
-small two-engine harness.
+The frame format; the one sender-side rule — what one pump of the send
+queue releases is one frame, so only a sender whose flow window reopens by
+several has several PDUs to pack — and the receiver-side unbatching path
+with its inner-before-header fold order, each on a hand-driven engine.
 """
 
 import pytest
 
 from repro.core.codec import CodecError, decode_pdu, encode_pdu, split_batch
 from repro.core.config import ProtocolConfig
-from repro.core.entity import COEntity
 from repro.core.errors import ConfigurationError
-from repro.core.pdu import BatchPdu, DataPdu, HeartbeatPdu
-from repro.sim.trace import TraceLog
+from repro.core.pdu import BatchPdu, DataPdu, HeartbeatPdu, RetPdu
+from repro.runtime.host import DEFAULT_RUNTIME_CONFIG
+from tests.conftest import EngineDriver
 
 
 def make_inner(seq, src=0, cid=1, n=3, data=b"x"):
@@ -81,6 +82,13 @@ class TestBatchConfig:
         with pytest.raises(ConfigurationError):
             ProtocolConfig(batch_max_bytes=-1)
 
+    def test_runtimes_default_to_one_window_per_frame(self):
+        # A pump cannot release more than W, so cap = W never cuts a frame.
+        assert DEFAULT_RUNTIME_CONFIG.batch_max_pdus == ProtocolConfig().window == 8
+
+    def test_no_tick_flush_knob(self):
+        assert not hasattr(ProtocolConfig(), "batch_flush_on_tick")
+
     def test_strict_paper_mode_forbids_batching(self):
         # Strict mode forbids PACK out of band; a batch header carries it.
         with pytest.raises(ConfigurationError):
@@ -114,186 +122,254 @@ class TestBatchCodec:
 # ----------------------------------------------------------------------
 # Engine behaviour
 # ----------------------------------------------------------------------
-class Pipe:
-    """Capture one engine's sends; deliver them to peers on demand."""
-
-    def __init__(self):
-        self.sent = []
-
-    def __call__(self, pdu):
-        self.sent.append(pdu)
+N = 3
+WINDOW = 8
+CID = ProtocolConfig().cluster_id
 
 
-def make_engine(index=0, n=3, **cfg):
-    config = ProtocolConfig(batch_max_pdus=4, **cfg)
-    clock = lambda: 0.0
-    engine = COEntity(index, n, config, clock, TraceLog(), lambda: 1000)
-    pipe = Pipe()
-    engine.bind(send=pipe, deliver=lambda m: None)
-    return engine, pipe
+def make_driver(index=0, cap=4, **cfg):
+    return EngineDriver(index, N, ProtocolConfig(batch_max_pdus=cap, **cfg))
+
+
+def heartbeat(src, ack, pack=(1,) * N):
+    return HeartbeatPdu(cid=CID, src=src, ack=tuple(ack), pack=tuple(pack), buf=10 ** 6)
+
+
+def confirm(drv, upto):
+    """Every peer reports it expects ``upto`` next from the driver's entity:
+    the flow window's base moves there on the *last* peer's heartbeat."""
+    me = drv.engine.index
+    ack = [1] * N
+    ack[me] = upto
+    for peer in range(N):
+        if peer != me:
+            drv.receive(heartbeat(peer, ack))
+
+
+def blocked_sender(backlog, cap=4, **cfg):
+    """A sender with a full window on the wire and ``backlog`` requests
+    waiting behind it."""
+    drv = make_driver(cap=cap, **cfg)
+    for k in range(WINDOW + backlog):
+        drv.submit(f"m{k}")
+    assert [p.seq for p in drv.sent] == list(range(1, WINDOW + 1))
+    assert drv.engine.pending_requests == backlog
+    del drv.sent[:]
+    return drv
+
+
+def frame_from(src, seqs):
+    """The frame a flow-blocked ``src`` would emit for ``seqs``."""
+    def ack(own):
+        return tuple(own if j == src else 1 for j in range(N))
+    return BatchPdu(
+        cid=CID, src=src, ack=ack(seqs[-1] + 1), pack=(1,) * N, buf=10 ** 6,
+        pdus=tuple(
+            DataPdu(cid=CID, src=src, seq=s, ack=ack(s), buf=10 ** 6, data=f"d{s}")
+            for s in seqs
+        ),
+    )
+
+
+def shapes(sent):
+    return [p.seqs if isinstance(p, BatchPdu) else p.seq for p in sent
+            if isinstance(p, (BatchPdu, DataPdu))]
 
 
 class TestSenderAccumulation:
+    @pytest.mark.parametrize("reopen_by, cap, expected", [
+        (3, 4, [(9, 10, 11)]),
+        (4, 4, [(9, 10, 11, 12)]),
+        (6, 4, [(9, 10, 11, 12), (13, 14)]),
+        (1, 4, [9]),
+        (5, 4, [(9, 10, 11, 12), 13]),
+        (8, 8, [tuple(range(9, 17))]),
+        (3, 1, [9, 10, 11]),
+    ])
+    def test_reopened_window_emits_one_frame_of_min_k_cap(self, reopen_by, cap, expected):
+        drv = blocked_sender(backlog=8, cap=cap)
+        confirm(drv, 1 + reopen_by)
+        assert shapes(drv.sent) == expected
+        assert drv.heartbeats_sent == []   # the frame was the confirmation
+
     def test_submissions_accumulate_until_full(self):
-        engine, pipe = make_engine()
-        engine.submit("a")
-        engine.submit("b")
-        engine.submit("c")
-        assert pipe.sent == []          # three PDUs parked in the open batch
-        assert engine.gauges()["batch_open"] == 3
-        engine.submit("d")              # 4 = batch_max_pdus: flush
-        frames = [p for p in pipe.sent if isinstance(p, BatchPdu)]
-        assert len(frames) == 1
-        assert frames[0].seqs == (1, 2, 3, 4)
-        assert engine.counters.batch_flush_full == 1
-        assert engine.counters.sent_batches == 1
-        assert engine.counters.batched_pdus == 4
+        """A window-blocked backlog leaves in full frames when the whole
+        window reopens at once."""
+        drv = blocked_sender(backlog=8)
+        confirm(drv, WINDOW + 1)
+        assert shapes(drv.sent) == [(9, 10, 11, 12), (13, 14, 15, 16)]
+        counters = drv.engine.counters
+        assert counters.batch_flush_full == 2
+        assert counters.sent_batches == 2
+        assert counters.batched_pdus == 8
+        assert [r.get("seqs") for r in drv.trace.select("batch")] == [
+            [9, 10, 11, 12], [13, 14, 15, 16],
+        ]
 
     def test_byte_cap_flushes_early(self):
-        engine, pipe = make_engine(batch_max_bytes=100)
-        engine.submit("x" * 80, size=80)
-        engine.submit("y" * 80, size=80)
-        frames = [p for p in pipe.sent if isinstance(p, BatchPdu)]
-        assert len(frames) >= 1
+        drv = make_driver(cap=8, batch_max_bytes=200)
+        for k in range(WINDOW + 4):
+            drv.submit("x" * 80, size=80)
+        del drv.sent[:]
+        confirm(drv, 5)
+        assert shapes(drv.sent) == [(9, 10), (11, 12)]
 
-    def test_tick_flushes_open_batch(self):
-        engine, pipe = make_engine()
-        engine.submit("only one")
-        assert pipe.sent == []
-        engine.on_tick()
-        frames = [p for p in pipe.sent if isinstance(p, BatchPdu)]
-        assert len(frames) == 1 and frames[0].seqs == (1,)
-        assert engine.counters.batch_flush_tick == 1
+    def test_lone_submit_emits_the_bare_data_pdu_of_the_paper_wire(self):
+        """An open window: the pump releases one PDU, which goes out at once
+        and bare — byte for byte, and with the same confirmation
+        bookkeeping, as ``batch_max_pdus=1``."""
+        batched, plain = make_driver(cap=8), make_driver(cap=1)
+        for drv in (batched, plain):
+            drv.receive(DataPdu(cid=CID, src=1, seq=1, ack=(1, 1, 1), buf=7, data="in"))
+            drv.clock = 0.5
+            drv.submit("out")
+        assert [type(p) for p in batched.sent] == [DataPdu]
+        assert encode_pdu(batched.sent[0]) == encode_pdu(plain.sent[0])
+        for field in ("_last_confirmed_req", "_last_confirmed_pack",
+                      "_heard_from", "_last_send_time"):
+            assert getattr(batched.engine, field) == getattr(plain.engine, field)
+        # REQ as it stood before self-acceptance (Table 1's ACK_self = SEQ).
+        assert batched.engine._last_confirmed_req == (1, 2, 1)
+        assert batched.engine.counters.snapshot() == plain.engine.counters.snapshot()
 
     def test_header_carries_fresh_req_vector(self):
-        engine, pipe = make_engine()
-        engine.submit("a")
-        engine.submit("b")
-        engine.on_tick()
-        frame = next(p for p in pipe.sent if isinstance(p, BatchPdu))
-        # The header ACK covers the batch's own PDUs (req advanced at
-        # self-acceptance), so no receiver ever RETs a frame against itself.
-        assert frame.ack[0] == 3
+        drv = blocked_sender(backlog=3)
+        drv.receive(DataPdu(cid=CID, src=2, seq=1, ack=(1, 1, 1), buf=7, data="in"))
+        confirm(drv, 4)
+        frame, = (p for p in drv.sent if isinstance(p, BatchPdu))
+        # The header ACK covers the frame's own PDUs (req advanced at
+        # self-acceptance), so no receiver ever RETs a frame against itself,
+        # and everything accepted since the inner PDUs were built.
+        assert frame.seqs == (9, 10, 11)
+        assert frame.ack == (12, 1, 2)
+        assert frame.pdus[0].ack == (9, 1, 2)
 
     def test_quiescent_only_after_flush(self):
-        engine, pipe = make_engine()
-        engine.submit("pending")
-        assert not engine.quiescent
-        engine.on_tick()
+        """Nothing is ever parked in the engine between calls: a request is
+        either waiting for the window (``pending``) or on the wire."""
+        drv = blocked_sender(backlog=2)
+        assert not drv.engine.quiescent
+        assert "batch_open" not in drv.engine.gauges()
+        confirm(drv, WINDOW + 1)
+        assert drv.engine.pending_requests == 0
+        assert shapes(drv.sent) == [(9, 10)]
 
 
 class TestReceiverUnbatching:
     def test_batch_accepts_all_inners_in_order(self):
-        sender, s_pipe = make_engine(index=0)
-        receiver, _ = make_engine(index=1)
-        for payload in ("a", "b", "c", "d"):
-            sender.submit(payload)
-        frame = next(p for p in s_pipe.sent if isinstance(p, BatchPdu))
-        receiver.on_pdu(frame)
-        assert receiver.counters.recv_batches == 1
-        assert receiver.counters.recv_batched_pdus == 4
-        assert receiver.counters.accepted == 4
-        assert receiver.state.req[0] == 5
+        receiver = make_driver(index=1)
+        receiver.receive(frame_from(0, (1, 2, 3, 4)))
+        counters = receiver.engine.counters
+        assert counters.recv_batches == 1
+        assert counters.recv_batched_pdus == 4
+        assert counters.accepted == 4
+        assert receiver.engine.state.req[0] == 5
 
     def test_duplicate_frame_is_harmless(self):
-        sender, s_pipe = make_engine(index=0)
-        receiver, _ = make_engine(index=1)
-        for payload in ("a", "b", "c", "d"):
-            sender.submit(payload)
-        frame = next(p for p in s_pipe.sent if isinstance(p, BatchPdu))
-        receiver.on_pdu(frame)
-        receiver.on_pdu(frame)
-        assert receiver.counters.accepted == 4
-        assert receiver.counters.duplicates == 4
+        receiver = make_driver(index=1)
+        frame = frame_from(0, (1, 2, 3, 4))
+        receiver.receive(frame)
+        receiver.receive(frame)
+        assert receiver.engine.counters.accepted == 4
+        assert receiver.engine.counters.duplicates == 4
 
     def test_own_frame_never_spuriously_rets(self):
         """Inner PDUs fold before the header: the header's ACK covers the
         frame's own seqs, which must not read as evidence of loss."""
-        sender, s_pipe = make_engine(index=0)
-        receiver, r_pipe = make_engine(index=1)
-        for payload in ("a", "b", "c", "d"):
-            sender.submit(payload)
-        frame = next(p for p in s_pipe.sent if isinstance(p, BatchPdu))
-        receiver.on_pdu(frame)
-        from repro.core.pdu import RetPdu
-        rets = [p for p in r_pipe.sent if isinstance(p, RetPdu)]
-        assert rets == []
+        receiver = make_driver(index=1)
+        receiver.receive(frame_from(0, (1, 2, 3, 4)))
+        assert receiver.rets_sent == []
+
+    def test_frame_that_starts_past_a_gap_is_stashed_and_the_gap_requested(self):
+        receiver = make_driver(index=1)
+        receiver.receive(frame_from(0, (2, 3, 4)))
+        assert receiver.engine.counters.stashed == 3
+        assert (receiver.rets_sent[0].lsrc, receiver.rets_sent[0].lseq) == (0, 2)
+        receiver.receive(frame_from(0, (1,)))
+        assert receiver.engine.state.req[0] == 5
+
+    def test_folded_inner_runs_no_tail_of_its_own(self, monkeypatch):
+        """One frame of k accepts is one PACK action, one confirmation
+        decision and one pump — not k + 1 of each."""
+        receiver = make_driver(index=1)
+        calls = []
+        for name in ("_pack_action", "_maybe_confirm", "_pump"):
+            original = getattr(receiver.engine, name)
+            monkeypatch.setattr(
+                receiver.engine, name,
+                lambda original=original, name=name: (calls.append(name), original())[1],
+            )
+        receiver.receive(frame_from(0, (1, 2, 3, 4)))
+        assert calls == ["_pack_action", "_maybe_confirm", "_pump"]
+        assert receiver.engine.counters.accepted == 4
 
 
 class TestAckCoalescing:
-    def test_confirmation_rides_open_batch_instead_of_heartbeat(self):
-        engine, pipe = make_engine(index=1, deferred_interval=0.0)
-        peer, p_pipe = make_engine(index=0)
-        peer.submit("from peer")
-        peer.on_tick()
-        frame = next(p for p in p_pipe.sent if isinstance(p, BatchPdu))
-        engine.submit("own traffic")      # opens a batch
-        engine.on_pdu(frame)              # acceptance wants a confirmation
-        engine.on_tick()                  # deferred timer fires
-        confirmations = [
-            p for p in pipe.sent
-            if isinstance(p, HeartbeatPdu) and not p.probe
-        ]
-        assert confirmations == []
-        # The pending confirmation rode the flushed batch header — counted
-        # as a coalesced ACK or as the tick flush that pre-empted it,
-        # depending on which fired first inside the tick.
-        assert (engine.counters.acks_coalesced
-                + engine.counters.batch_flush_tick) >= 1
-        frames = [p for p in pipe.sent if isinstance(p, BatchPdu)]
-        assert frames, "the coalesced confirmation must flush the batch"
-        # The flushed header carries the post-acceptance REQ vector.
-        assert frames[-1].ack[0] == 2
+    def test_confirmation_rides_the_pump_frame_instead_of_heartbeat(self):
+        """Hearing from every peer with data waiting: the round's
+        confirmation is the frame the reopened window releases — its header
+        carries the vectors a heartbeat would — and exactly one goes out."""
+        drv = blocked_sender(backlog=2)
+        ack = (3, 1, 1)
+        drv.receive(heartbeat(1, ack))
+        drv.receive(DataPdu(cid=CID, src=2, seq=1, ack=ack, buf=10 ** 6, data="in"))
+        assert [type(p) for p in drv.sent] == [BatchPdu]
+        assert drv.sent[0].seqs == (9, 10)
+        assert drv.sent[0].ack == (11, 1, 2)   # post-acceptance REQ
 
-    def test_round_rule_with_open_batch_coalesces_exactly_once(self):
-        """Deterministic engagement (the nemesis ``batching`` scenario only
-        reports the counter): hearing from every peer while a batch is open
-        flushes the batch as the confirmation — no heartbeat, one count."""
-        engine, pipe = make_engine(index=1, n=2)
-        peer, p_pipe = make_engine(index=0, n=2)
-        peer.submit("from peer")
-        peer.on_tick()
-        frame = next(p for p in p_pipe.sent if isinstance(p, BatchPdu))
-        engine.submit("own traffic")      # opens a batch, nothing on the wire
-        assert pipe.sent == []
-        engine.on_pdu(frame)              # heard from all: confirmation due
-        assert engine.counters.acks_coalesced == 1
-        assert engine.counters.batch_flush_tick == 0
-        assert [type(p) for p in pipe.sent] == [BatchPdu]
-        assert pipe.sent[0].ack[0] == 2   # post-acceptance REQ in the header
+    def test_heartbeat_equal_to_last_frame_header_is_suppressed(self):
+        drv = blocked_sender(backlog=2)
+        confirm(drv, 3)
+        assert shapes(drv.sent) == [(9, 10)]
+        engine = drv.engine
+        assert engine._last_confirmed_req == engine.state.req_vector()
+        assert engine._last_confirmed_pack == tuple(engine._preack_floor)
+        drv.tick(dt=engine.config.deferred_interval + 1e-9)
+        # Nothing changed since the header: the timer has no confirmation
+        # to give.  (Still waiting on the cluster, it *probes* — a repeat
+        # request, not a confirmation.)
+        assert [hb.probe for hb in drv.heartbeats_sent] == [True]
 
     def test_no_open_batch_falls_back_to_heartbeat(self):
-        engine, pipe = make_engine(index=1, deferred_interval=0.0)
-        peer, p_pipe = make_engine(index=0)
-        peer.submit("from peer")
-        peer.on_tick()
-        frame = next(p for p in p_pipe.sent if isinstance(p, BatchPdu))
-        engine.on_pdu(frame)
-        engine.on_tick()
-        assert any(isinstance(p, (HeartbeatPdu, BatchPdu)) for p in pipe.sent)
+        drv = make_driver(index=1, deferred_interval=0.0)
+        drv.receive(frame_from(0, (1,)))
+        drv.tick()
+        assert [hb.ack for hb in drv.heartbeats_sent if not hb.probe] == [(2, 1, 1)]
 
 
-class TestInlineFlushOrdering:
-    def test_control_pdu_cannot_overtake_open_batch(self):
-        """Any non-batch send flushes the open batch first — control PDUs
-        built after a batched PDU carry REQ entries covering its seqs, so
-        FIFO on the wire is a correctness requirement, not a nicety."""
-        engine, pipe = make_engine(index=1)
-        peer, p_pipe = make_engine(index=0)
-        # Create a gap so the engine wants to send a RET: peer sends seqs
-        # 1..4, receiver only sees a frame that starts at seq 2.
-        for payload in ("a", "b", "c", "d"):
-            peer.submit(payload)
-        frame = next(p for p in p_pipe.sent if isinstance(p, BatchPdu))
-        tail = BatchPdu(
-            cid=frame.cid, src=frame.src, ack=frame.ack, pack=frame.pack,
-            buf=frame.buf, pdus=frame.pdus[1:],
+class TestRunToCompletion:
+    def test_sender_packs_once_per_pump(self, monkeypatch):
+        drv = blocked_sender(backlog=6, cap=8)
+        packs = []
+        original = drv.engine._pack_action
+        monkeypatch.setattr(
+            drv.engine, "_pack_action", lambda: (packs.append(1), original())[1],
         )
-        engine.submit("batched first")    # opens the batch
-        engine.on_pdu(tail)               # gap → RET wants out
-        kinds = [type(p).__name__ for p in pipe.sent]
-        assert "BatchPdu" in kinds
-        assert kinds.index("BatchPdu") == 0, (
-            f"open batch must flush before anything else, got {kinds}"
-        )
-        assert engine.counters.batch_flush_inline >= 1
+        confirm(drv, 7)   # two heartbeats; the second reopens the window by 6
+        assert shapes(drv.sent) == [(9, 10, 11, 12, 13, 14)]
+        # One per heartbeat handled, one for the pump's six PDUs.
+        assert len(packs) == 3
+
+    def test_data_released_by_a_tick_leaves_in_the_tick(self):
+        """The tick's flow retry is a pump like any other: what it releases
+        leaves as one frame before ``on_tick`` returns."""
+        drv = blocked_sender(backlog=3)
+        for peer in (1, 2):
+            drv.engine.state.merge_al(peer, (4, 1, 1))  # knowledge, no pump
+        assert drv.sent == []
+        drv.tick()
+        assert shapes(drv.sent) == [(9, 10, 11)]
+
+    def test_control_pdu_and_released_data_leave_in_handling_order(self):
+        """A frame that both opens a gap and reopens the window: the RETs go
+        first, then the released data as one frame; nothing is held back
+        for a later call."""
+        drv = blocked_sender(backlog=2)
+        drv.receive(heartbeat(1, (3, 1, 1)))
+        tail = frame_from(2, (2, 3))
+        tail = BatchPdu(cid=CID, src=2, ack=(3, 1, 4), pack=tail.pack,
+                        buf=tail.buf, pdus=tail.pdus)
+        drv.receive(tail)
+        kinds = [type(p) for p in drv.sent]
+        assert kinds[0] is RetPdu and kinds.count(BatchPdu) == 1
+        assert kinds[-1] is BatchPdu and drv.sent[-1].seqs == (9, 10)

@@ -1,7 +1,7 @@
 """Unit tests for deferred confirmation, heartbeats and strict paper mode."""
 
 from repro.core.config import ConfirmationMode, ProtocolConfig
-from repro.core.pdu import BatchPdu, HeartbeatPdu
+from repro.core.pdu import HeartbeatPdu
 from tests.conftest import EngineDriver, make_pdu
 
 
@@ -281,21 +281,6 @@ def test_probe_answer_is_one_unicast_and_not_a_confirmation():
     [confirmation] = drv.heartbeats_sent
     assert confirmation.ack == (1, 2, 1, 1) and confirmation.probe is False
     assert engine._last_confirmed_req == (1, 2, 1, 1)
-
-
-def test_open_batch_is_flushed_before_a_probe_answer():
-    drv = EngineDriver(0, 3, ProtocolConfig(batch_max_pdus=4))
-    wire = []
-    drv.engine.bind(
-        send=wire.append, deliver=drv.delivered.append,
-        unicast=lambda dst, pdu: wire.append((dst, pdu)),
-    )
-    drv.submit("x")  # accumulates; the answer's ACK vector will cover it
-    assert wire == []
-    drv.receive(_hb(2, (1, 1, 1), (1, 1, 1), probe=True))
-    frame, (dst, answer) = wire
-    assert isinstance(frame, BatchPdu) and frame.seqs == (1,)
-    assert dst == 2 and answer.ack == (2, 1, 1)
 
 
 # ----------------------------------------------------------------------

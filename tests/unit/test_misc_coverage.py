@@ -79,8 +79,9 @@ class TestTraceVocabulary:
     def test_engine_categories_are_declared(self):
         """Every category the stack emits appears in the documented
         vocabulary, so trace consumers can rely on CATEGORIES.  A ring
-        cluster with batching on and one pause / resume, so the relay
-        unicasts, batch flushes and host freezes are seen too."""
+        cluster with batching on, bursts deeper than the window and one
+        pause / resume, so the relay unicasts, multi-PDU frames and host
+        freezes are seen too."""
         from repro.core.cluster import build_cluster
         from repro.core.config import DisseminationMode, ProtocolConfig
         from repro.net.loss import BernoulliLoss
@@ -91,9 +92,10 @@ class TestTraceVocabulary:
             rngs=RngRegistry(3),
             config=ProtocolConfig(
                 dissemination=DisseminationMode.RING, batch_max_pdus=4,
+                window=2,
             ),
         )
-        for k in range(8):
+        for k in range(18):
             cluster.submit(k % 3, f"m{k}")
         cluster.pause(2)
         cluster.run_for(5e-3)
