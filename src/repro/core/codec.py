@@ -869,7 +869,7 @@ def split_batch(pdu: BatchPdu, max_frame_bytes: int) -> "list[BatchPdu]":
         groups[-1].append(p)
         size += cost
     src = pdu.src
-    chunks = []
+    chunks: "list[BatchPdu]" = []
     for group in groups[:-1]:
         ack = list(pdu.ack)
         ack[src] = min(ack[src], group[-1].seq + 1)

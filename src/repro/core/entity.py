@@ -771,7 +771,6 @@ class COEntity:
         batch = self._batch
         if not batch:
             return
-        self._batch = []
         self._batch_bytes = 0
         self._heard_from.clear()
         self._last_send_time = self.now
@@ -793,6 +792,7 @@ class COEntity:
                 self.now, "batch", self.index,
                 count=len(batch), seqs=list(frame.seqs),
             )
+        batch.clear()
         self._last_confirmed_req = frame.ack
         self._send_frame(frame)
 

@@ -128,7 +128,7 @@ class UdpTransport:
         #: §2.1 model made literal.  Frames arriving when it is full are
         #: overruns (counted in ``inbox.stats``), exactly the loss the
         #: protocol's RET machinery repairs.
-        self.inbox: ReceiveBuffer = _DatagramInbox(
+        self.inbox = _DatagramInbox(
             capacity_units=inbox_capacity_units, units_per_pdu=units_per_pdu,
         )
         #: Called with a reason (and details) for every datagram dropped on

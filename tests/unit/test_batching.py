@@ -6,6 +6,8 @@ several has several PDUs to pack — and the receiver-side unbatching path
 with its inner-before-header fold order, each on a hand-driven engine.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.codec import CodecError, decode_pdu, encode_pdu, split_batch
@@ -171,6 +173,20 @@ def frame_from(src, seqs):
     )
 
 
+def log_calls(monkeypatch, engine, *names):
+    """Record, in order, each call the engine makes to the named methods."""
+    calls = []
+    for name in names:
+        original = getattr(engine, name)
+
+        def logged(original=original, name=name):
+            calls.append(name)
+            return original()
+
+        monkeypatch.setattr(engine, name, logged)
+    return calls
+
+
 def shapes(sent):
     return [p.seqs if isinstance(p, BatchPdu) else p.seq for p in sent
             if isinstance(p, (BatchPdu, DataPdu))]
@@ -292,13 +308,8 @@ class TestReceiverUnbatching:
         """One frame of k accepts is one PACK action, one confirmation
         decision and one pump — not k + 1 of each."""
         receiver = make_driver(index=1)
-        calls = []
-        for name in ("_pack_action", "_maybe_confirm", "_pump"):
-            original = getattr(receiver.engine, name)
-            monkeypatch.setattr(
-                receiver.engine, name,
-                lambda original=original, name=name: (calls.append(name), original())[1],
-            )
+        calls = log_calls(
+            monkeypatch, receiver.engine, "_pack_action", "_maybe_confirm", "_pump")
         receiver.receive(frame_from(0, (1, 2, 3, 4)))
         assert calls == ["_pack_action", "_maybe_confirm", "_pump"]
         assert receiver.engine.counters.accepted == 4
@@ -340,11 +351,7 @@ class TestAckCoalescing:
 class TestRunToCompletion:
     def test_sender_packs_once_per_pump(self, monkeypatch):
         drv = blocked_sender(backlog=6, cap=8)
-        packs = []
-        original = drv.engine._pack_action
-        monkeypatch.setattr(
-            drv.engine, "_pack_action", lambda: (packs.append(1), original())[1],
-        )
+        packs = log_calls(monkeypatch, drv.engine, "_pack_action")
         confirm(drv, 7)   # two heartbeats; the second reopens the window by 6
         assert shapes(drv.sent) == [(9, 10, 11, 12, 13, 14)]
         # One per heartbeat handled, one for the pump's six PDUs.
@@ -366,10 +373,7 @@ class TestRunToCompletion:
         for a later call."""
         drv = blocked_sender(backlog=2)
         drv.receive(heartbeat(1, (3, 1, 1)))
-        tail = frame_from(2, (2, 3))
-        tail = BatchPdu(cid=CID, src=2, ack=(3, 1, 4), pack=tail.pack,
-                        buf=tail.buf, pdus=tail.pdus)
-        drv.receive(tail)
+        drv.receive(replace(frame_from(2, (2, 3)), ack=(3, 1, 4)))
         kinds = [type(p) for p in drv.sent]
         assert kinds[0] is RetPdu and kinds.count(BatchPdu) == 1
         assert kinds[-1] is BatchPdu and drv.sent[-1].seqs == (9, 10)
