@@ -268,6 +268,11 @@ class COEntity:
         self.n = n
         self.config = config
         self._clock = clock
+        #: The clock reading of the input being processed: ``submit``,
+        #: ``on_pdu`` and ``on_tick`` each take exactly one, and everything
+        #: the input does — trace records, timers, liveness stamps — uses it
+        #: (docs/PROTOCOL.md §13).
+        self._now: float = clock()
         self._trace = trace
         self._advertised_buf = advertised_buf or (lambda: 10 ** 9)
         #: BUF of the empty inbox — every host builds its engine before any
@@ -331,7 +336,7 @@ class COEntity:
         self._assist_suppressor = RetransmitSuppressor(config.ret_suppression_interval)
         #: Membership extension state.
         self.suspected: Set[int] = set()
-        self._last_heard: List[float] = [clock()] * n
+        self._last_heard: List[float] = [self._now] * n
         #: When each currently-suspected member was first suspected (drives
         #: the eviction timeout of the view-change extension).
         self._suspect_since: Dict[int, float] = {}
@@ -384,7 +389,7 @@ class COEntity:
         self._live_others: Optional[Set[int]] = None
         self._last_confirmed_req: Tuple[int, ...] = self.state.req_vector()
         self._last_confirmed_pack: Tuple[int, ...] = tuple(self._preack_floor)
-        self._last_send_time: float = clock()
+        self._last_send_time: float = self._now
         self._flow_block_announced = False
         self._resident_high_water = 0
         # Probe state (see :meth:`on_tick`).  A probe goes out after
@@ -400,7 +405,7 @@ class COEntity:
         # advertise BUF=0 and keep the prober's window shut).
         self._probe_backoff = 1
         self._probe_load = 0
-        self._last_learned: float = clock()
+        self._last_learned: float = self._now
         self.counters = EntityCounters()
         #: Adaptive failure detection (docs/PROTOCOL.md §17).  ``None``
         #: keeps the fixed-timeout scan; the detector shares the engine's
@@ -419,7 +424,7 @@ class COEntity:
                 sample_clamp=config.detector_sample_clamp,
                 resuspect_cooldown=config.resuspect_cooldown,
                 bootstrap_timeout=config.suspect_timeout,
-                start_time=clock(),
+                start_time=self._now,
                 counters=self.counters,
             )
         self._send_fn: Optional[SendFn] = None
@@ -454,6 +459,8 @@ class COEntity:
 
     @property
     def now(self) -> float:
+        """A live clock read, for callers outside an input (gauges, hosts).
+        The engine itself uses the one reading its current input took."""
         return self._clock()
 
     # ------------------------------------------------------------------
@@ -463,8 +470,9 @@ class COEntity:
         """A data-transmission (DT) request from the application entity."""
         if data is None:
             raise ValueError("application data must not be None (reserved for null PDUs)")
+        self._now = self._clock()
         self.counters.submitted += 1
-        self._trace.record(self.now, "submit", self.index, size=size)
+        self._trace.record(self._now, "submit", self.index, size=size)
         self._pending.append((data, size))
         self._pump()
 
@@ -477,6 +485,7 @@ class COEntity:
 
     def on_pdu(self, pdu: Any) -> None:
         """Process one PDU taken from the receive buffer."""
+        self._now = self._clock()
         if isinstance(pdu, InterGroupPdu):
             # Backbone frames address *groups*: their cid is the base
             # cluster id and their src is a global entity id, so they must
@@ -511,9 +520,9 @@ class COEntity:
                 if not self._fence_admits(src, pdu):
                     return
             else:
-                self._last_heard[src] = self.now
+                self._last_heard[src] = self._now
                 if self.detector is not None:
-                    self.detector.heard(src, self.now)
+                    self.detector.heard(src, self._now)
                 if src in self.suspected:
                     self._unsuspect(src)
         if isinstance(pdu, DataPdu):
@@ -582,14 +591,14 @@ class COEntity:
                 return True
         self.counters.fenced += 1
         self._trace.record(
-            self.now, "fence", self.index,
+            self._now, "fence", self.index,
             src=src, kind=type(pdu).__name__, seq=getattr(pdu, "seq", None),
         )
         return False
 
     def on_tick(self) -> None:
         """Periodic housekeeping: RET retries, deferred confirmation, flow retry."""
-        now = self.now
+        now = self._now = self._clock()
         if self.joining:
             # A rejoining incarnation is passive: it only solicits a state
             # snapshot / re-admission until a view change admits it.
@@ -702,23 +711,33 @@ class COEntity:
         What one pump releases is one frame (docs/PROTOCOL.md §14): the
         PDUs were already queued, so packing them costs no waiting, and no
         batch outlives the pump that opened it.
+
+        The window is read once and spent, then read again: between two
+        sends only self-acceptance runs, and it raises ``minAL_i`` only
+        when our own row is the sole live one (``n = 1``, every peer
+        excluded) — the re-read at the boundary sees exactly that.
         """
+        pending = self._pending
         sent = 0
-        while self._pending:
-            decision = self.flow.check(self.sl.next_seq)
-            if not decision.allowed:
+        while pending:
+            seq = self.sl.next_seq
+            base, end = self.flow.admitted()
+            if not base <= seq < end:
                 if not self._flow_block_announced:
+                    decision = self.flow.check(seq)
                     self.counters.flow_blocked += 1
                     self._trace.record(
-                        self.now, "flow-blocked", self.index,
+                        self._now, "flow-blocked", self.index,
                         seq=decision.seq, reason=decision.reason,
                         window=decision.effective_window,
                     )
                     self._flow_block_announced = True
                 break
-            data, size = self._pending.popleft()
-            self._broadcast_data(data, size)
-            sent += 1
+            release = min(end - seq, len(pending))
+            for _ in range(release):
+                data, size = pending.popleft()
+                self._broadcast_data(data, size)
+            sent += release
         if sent:
             self._flow_block_announced = False
             self._flush_batch()
@@ -773,7 +792,7 @@ class COEntity:
             return
         self._batch_bytes = 0
         self._heard_from.clear()
-        self._last_send_time = self.now
+        self._last_send_time = self._now
         if len(batch) == 1:
             frame: Any = batch[0]
         else:
@@ -789,7 +808,7 @@ class COEntity:
             self.counters.batched_pdus += len(batch)
             self._last_confirmed_pack = frame.pack
             self._trace.record(
-                self.now, "batch", self.index,
+                self._now, "batch", self.index,
                 count=len(batch), seqs=list(frame.seqs),
             )
         batch.clear()
@@ -963,7 +982,7 @@ class COEntity:
         self._last_confirmed_req = min_ack
         self._last_confirmed_pack = min_pack
         self._heard_from.clear()
-        self._last_send_time = self.now
+        self._last_send_time = self._now
         for dst in targets:
             self._unicast(dst, forwarded)
 
@@ -977,7 +996,7 @@ class COEntity:
         """
         outcome = self.state.merge_al(observer, vector)
         if outcome.changed:
-            self._last_learned = self.now
+            self._last_learned = self._now
             if outcome.dirty:
                 self._pack_dirty.update(outcome.dirty)
         return outcome
@@ -986,7 +1005,7 @@ class COEntity:
         """Fold a peer's PACK vector into PAL; every inbound PAL intake goes
         through here so a raised cell counts as *learning* (probe rule)."""
         if self.state.merge_pal(observer, vector).changed:
-            self._last_learned = self.now
+            self._last_learned = self._now
 
     # ------------------------------------------------------------------
     # Data-PDU receipt: acceptance + failure condition (1)  (§4.2, §4.3)
@@ -994,9 +1013,9 @@ class COEntity:
     def _on_data(self, p: DataPdu, folded: bool = False) -> None:
         """``folded=True`` marks an inner PDU of a batch whose ACK vectors
         were already merged column-wise in one pass (:meth:`_on_batch`):
-        the per-PDU AL/BUF folds, the per-PDU failure-condition-(2) check
-        and the PACK / confirm / pump tail are skipped — the frame-level
-        fold, header check and tail dominate them."""
+        the per-PDU AL/BUF folds, acceptance bookkeeping, failure-condition-
+        (2) check and PACK / confirm / pump tail are skipped — the frame-
+        level ones dominate them."""
         src = p.src
         if src == self.index:
             # Our own rebroadcast echoed back by a peer relay — impossible in
@@ -1015,17 +1034,18 @@ class COEntity:
             # tail: §4.3 applies failure condition (2) to *every* received
             # PDU's ACK vector, duplicates included.
             self.counters.duplicates += 1
-            self._trace.record(self.now, "duplicate", self.index, src=src, seq=p.seq)
+            self._trace.record(self._now, "duplicate", self.index, src=src, seq=p.seq)
             if not folded:
                 self._merge_al(src, p.ack)
                 self.state.update_buf(src, p.buf)
         elif p.seq == expected:
             self._accept(p, folded=folded)
-            self._drain_stash(src)
+            if self._stash[src]:
+                self._drain_stash(src)
         else:
             # Failure condition (1): REQ_src < p.SEQ.
             self._trace.record(
-                self.now, "gap", self.index,
+                self._now, "gap", self.index,
                 kind="F1", src=src, missing_from=expected, missing_upto=p.seq,
             )
             if not folded:
@@ -1036,10 +1056,10 @@ class COEntity:
                     self._stash[src][p.seq] = p
                     self._stash_size += 1
                     self.counters.stashed += 1
-                    self._trace.record(self.now, "stash", self.index, src=src, seq=p.seq)
+                    self._trace.record(self._now, "stash", self.index, src=src, seq=p.seq)
             else:
                 self.counters.discarded_out_of_order += 1
-            if self.gaps.note(src, p.seq, self.now):
+            if self.gaps.note(src, p.seq, self._now):
                 self._send_ret(src, p.seq)
         if folded:
             return  # :meth:`_on_batch` runs the tail once for the frame
@@ -1050,35 +1070,46 @@ class COEntity:
         self._pump()
 
     def _accept(self, p: DataPdu, folded: bool = False) -> None:
-        """The acceptance action (§4.2)."""
+        """The acceptance action (§4.2).
+
+        ``folded=True`` (an inner PDU of a batch) leaves the per-frame
+        bookkeeping — AL/BUF fold, gap close, liveness and probe stamps,
+        resident high-water mark — to :meth:`_on_batch`, which does it once.
+        """
+        src = p.src
         # REQ_src advances and our own AL row — our own REQ vector — moves
         # with it: one O(1) combined step instead of an O(n) re-fold of the
-        # whole vector per accepted PDU.
-        outcome = self.state.accept(p.src, p.seq)
-        if outcome.dirty:
-            self._pack_dirty.update(outcome.dirty)
-        if not folded:
-            self._merge_al(p.src, p.ack)
-            if p.src != self.index:
-                # Own BUF advertisements never constrain our window:
-                # broadcasts land in *other* entities' buffers
-                # (self-acceptance bypasses ours), so the self entry stays
-                # at its non-binding initial.
-                self.state.update_buf(p.src, p.buf)
+        # whole vector per accepted PDU.  Its dirty set is at most ``src``,
+        # which the new sublog head below queues anyway.
+        self.state.accept(src, p.seq)
         self.rrl.enqueue(p)
-        # The sublog gained a (possibly new) head: re-examine this source.
-        self._pack_dirty.add(p.src)
-        if p.src != self.index:
-            self._peer_store[p.src][p.seq] = p
-        self.gaps.close_below(p.src, self.state.req[p.src])
+        self._pack_dirty.add(src)
         self.counters.accepted += 1
-        self._last_learned = now = self.now
         self._trace.record(
-            now, "accept", self.index,
-            src=p.src, seq=p.seq, null=p.is_null,
+            self._now, "accept", self.index,
+            src=src, seq=p.seq, null=p.is_null,
         )
-        if p.src != self.index:
-            self._heard_from.add(p.src)
+        own = src == self.index
+        if not own:
+            self._peer_store[src][p.seq] = p
+        if folded:
+            return
+        if not own:
+            # Our own row of AL *is* REQ, which dominates the ACK vector our
+            # own PDU was stamped with; and own BUF advertisements never
+            # constrain our window — broadcasts land in *other* entities'
+            # buffers (self-acceptance bypasses ours), so the self entry
+            # stays at its non-binding initial.
+            self._merge_al(src, p.ack)
+            self.state.update_buf(src, p.buf)
+            self._heard_from.add(src)
+        self._accepted_bookkeeping(src)
+
+    def _accepted_bookkeeping(self, src: int) -> None:
+        """After acceptance from ``src``: close the gaps REQ passed, count
+        it as progress (probe rule) and sample the resident peak."""
+        self.gaps.close_below(src, self.state.req[src])
+        self._last_learned = self._now
         self._probe_backoff = 1
         resident = self.resident_pdus
         if resident > self._resident_high_water:
@@ -1105,31 +1136,37 @@ class COEntity:
         retransmission of PDUs sitting in this very frame.
         """
         self.counters.recv_batches += 1
-        removed = self._is_removed(b.src)
-        if not removed:
-            # Single-pass fold: the column-wise maximum of the header and
-            # every inner ACK vector is merged once, so a frame of k inner
-            # PDUs costs one AL row walk instead of k+1.  Folding the
-            # knowledge early is monotone-sound (element-wise max of
-            # vectors the source truly sent); the failure-condition-(2)
-            # check stays *after* the inner PDUs, as before, because
-            # ``ack[src]`` covers sequence numbers sitting in this frame.
-            # The header BUF (flush-stamped, freshest) lands now too.
-            self._merge_al(b.src, b.fold_ack())
-            self.state.update_buf(b.src, b.buf)
-        for p in b.pdus:
-            if removed and not self._fence_admits(b.src, p):
-                continue
-            self.counters.recv_batched_pdus += 1
-            self._on_data(p, folded=not removed)
-        if removed:
+        src = b.src
+        if self._is_removed(src):
             # A removed member's knowledge must not advance anyone's state;
-            # only its admitted (flushed-prefix) data PDUs count.
+            # only its admitted (flushed-prefix) data PDUs count, each on
+            # its own.
+            for p in b.pdus:
+                if self._fence_admits(src, p):
+                    self.counters.recv_batched_pdus += 1
+                    self._on_data(p)
             return
-        self._merge_pal(b.src, b.pack)
-        self._check_ack_gaps(b.ack, carrier=b.src)
+        # Single-pass fold: the column-wise maximum of the header and every
+        # inner ACK vector is merged once, so a frame of k inner PDUs costs
+        # one AL row walk instead of k+1.  Folding the knowledge early is
+        # monotone-sound (element-wise max of vectors the source truly
+        # sent); the failure-condition-(2) check stays *after* the inner
+        # PDUs, because ``ack[src]`` covers sequence numbers sitting in this
+        # frame.  The header BUF (flush-stamped, freshest) lands now too.
+        self._merge_al(src, b.fold_ack())
+        self.state.update_buf(src, b.buf)
+        self.counters.recv_batched_pdus += len(b.pdus)
+        req_before = self.state.req[src]
+        for p in b.pdus:
+            self._on_data(p, folded=True)
+        if self.state.req[src] != req_before:
+            # Nothing leaves the logs before the PACK action below, so the
+            # resident count peaks here.
+            self._accepted_bookkeeping(src)
+        self._merge_pal(src, b.pack)
+        self._check_ack_gaps(b.ack, carrier=src)
         # The frame is a confirmation from its source, like a heartbeat.
-        self._heard_from.add(b.src)
+        self._heard_from.add(src)
         self._pack_action()
         self._maybe_confirm()
         self._pump()
@@ -1159,11 +1196,11 @@ class COEntity:
             if ack[j] > self.state.req[j]:
                 gapless = False
                 self._trace.record(
-                    self.now, "gap", self.index,
+                    self._now, "gap", self.index,
                     kind="F2", src=j,
                     missing_from=self.state.req[j], missing_upto=ack[j],
                 )
-                if self.gaps.note(j, ack[j], self.now) and self._strategy is None:
+                if self.gaps.note(j, ack[j], self._now) and self._strategy is None:
                     # Under a relay topology (§16) knowledge deliberately
                     # outruns data: a relay's aggregated minima advertise
                     # PDUs still a few hops away, so an immediate RET here
@@ -1188,10 +1225,10 @@ class COEntity:
         )
         self.counters.sent_rets += 1
         self._trace.record(
-            self.now, "ret", self.index,
+            self._now, "ret", self.index,
             lsrc=lsrc, req_from=ret.requested_from, req_upto=upto,
         )
-        self.gaps.mark_ret(lsrc, self.now)
+        self.gaps.mark_ret(lsrc, self._now)
         self._send(ret)
 
     def _on_ret(self, r: RetPdu) -> None:
@@ -1207,10 +1244,10 @@ class COEntity:
             else:
                 hi = min(r.requested_upto, self.sl.next_seq)
             for pdu in self.sl.get_range(lo, hi):
-                if self._suppressor.should_send(pdu.seq, self.now):
+                if self._suppressor.should_send(pdu.seq, self._now):
                     self.counters.retransmissions += 1
                     self._trace.record(
-                        self.now, "retransmit", self.index, seq=pdu.seq, to=r.src,
+                        self._now, "retransmit", self.index, seq=pdu.seq, to=r.src,
                     )
                     # SEQ and ACK must stay as originally sent (they are the
                     # PDU's causal coordinates, Theorem 4.1); BUF is a live
@@ -1231,10 +1268,10 @@ class COEntity:
                 pdu = store.get(seq)
                 if pdu is None:
                     continue
-                if self._assist_suppressor.should_send((r.lsrc, seq), self.now):
+                if self._assist_suppressor.should_send((r.lsrc, seq), self._now):
                     self.counters.retransmissions += 1
                     self._trace.record(
-                        self.now, "retransmit", self.index,
+                        self._now, "retransmit", self.index,
                         seq=seq, to=r.src, on_behalf_of=r.lsrc,
                     )
                     self._send_repair(r.src, pdu)
@@ -1264,7 +1301,7 @@ class COEntity:
             buf=self._advertised_buf(),
         )
         self.counters.digests_sent += 1
-        self._trace.record(self.now, "digest", self.index, target=target)
+        self._trace.record(self._now, "digest", self.index, target=target)
         self._send(d)
 
     def _on_digest(self, d: DigestPdu) -> None:
@@ -1297,10 +1334,10 @@ class COEntity:
             # Note the holes so the RET timer re-drives (and re-escalates)
             # the fetch if this pull is itself lost.
             for (lsrc, _lo, hi) in ranges:
-                self.gaps.note(lsrc, hi, self.now)
+                self.gaps.note(lsrc, hi, self._now)
             self._send_pull(d.src, ranges, reason="digest")
         deficit = self.repair.deficit(d.ack, self.state.req, skip=(d.src,))
-        if self.repair.delta_due(d.src, deficit, self.now):
+        if self.repair.delta_due(d.src, deficit, self._now):
             self._push_delta(d.src, d.ack, deficit)
 
     def _pull_target(self) -> int:
@@ -1329,7 +1366,7 @@ class COEntity:
         self.counters.pulls_sent += 1
         self.counters.pull_ranges_requested += len(ranges)
         self._trace.record(
-            self.now, "pull", self.index,
+            self._now, "pull", self.index,
             target=target, ranges=len(ranges), pdus=pull.requested_pdus,
             reason=reason,
         )
@@ -1368,7 +1405,7 @@ class COEntity:
                 for pdu in self.sl.get_range(lo, min(hi, self.sl.next_seq)):
                     if served >= cap:
                         break
-                    if self._suppressor.should_send(pdu.seq, self.now):
+                    if self._suppressor.should_send(pdu.seq, self._now):
                         out = replace(pdu, buf=self._advertised_buf())
                         self.counters.retransmissions += 1
                         served += 1
@@ -1385,7 +1422,7 @@ class COEntity:
                         continue
                     if served >= cap:
                         break
-                    if self._assist_suppressor.should_send((lsrc, seq), self.now):
+                    if self._assist_suppressor.should_send((lsrc, seq), self._now):
                         self.counters.retransmissions += 1
                         served += 1
                         served_bytes += pdu.wire_size()
@@ -1405,7 +1442,7 @@ class COEntity:
             # transfer standing in for what used to need a full snapshot.
             self.counters.delta_syncs += 1
         self._trace.record(
-            self.now, "pull-serve", self.index,
+            self._now, "pull-serve", self.index,
             to=p.src, ranges=ranges_served, pdus=served, bytes=served_bytes,
         )
 
@@ -1455,12 +1492,12 @@ class COEntity:
             # rate-limit interval is *not* burned — the next digest may find
             # a servable deficit and must not be suppressed by this no-op.
             return
-        self.repair.mark_delta(to, self.now)
+        self.repair.mark_delta(to, self._now)
         self.counters.delta_syncs += 1
         self.counters.delta_pdus_sent += sent
         self.counters.repair_bytes += sent_bytes
         self._trace.record(
-            self.now, "delta", self.index,
+            self._now, "delta", self.index,
             to=to, pdus=sent, bytes=sent_bytes, deficit=deficit,
         )
 
@@ -1488,7 +1525,7 @@ class COEntity:
             # its own floors, not its copy of *our* row, so a prober that
             # holds every PDU but lost our last heartbeat looks caught-up.
             self._answer_probe(h.src)
-        elif self._may_announce(self.now) and any(
+        elif self._may_announce(self._now) and any(
             h.ack[j] < self.state.req[j] or h.pack[j] < self._preack_floor[j]
             for j in range(self.n)
         ):
@@ -1546,9 +1583,22 @@ class COEntity:
         "incremental PACK scan".  All newly pre-acknowledged PDUs are
         CPI-inserted before any delivery decision runs, so a mid-batch
         delivery can never jump a predecessor.
+
+        The paper's PAL rule — a pre-acknowledged PDU's ACK vector certifies
+        what its sender had accepted — folds one vector per source per pass:
+        the column-wise maximum of that source's dequeued ACK vectors, which
+        is what merging them one by one amounts to.  Not just the last one:
+        a rejoined incarnation's first vector can sit below its
+        predecessor's last (:meth:`_apply_snapshot` replaces REQ).
         """
         newly: List[DataPdu] = []
+        # Per source, the ACK vectors of the PDUs this pass dequeued.
+        acks: Dict[int, List[Tuple[int, ...]]] = {}
         work = self._pack_dirty
+        rrl, prl, floor = self.rrl, self.prl, self._preack_floor
+        dep_waiters = self._dep_waiters
+        min_al = self.state.min_al
+        record, now, me = self._trace.record, self._now, self.index
         while work:
             # Lowest source first: deterministic, and it reproduces the
             # ascending-source visit order of the paper's worked example
@@ -1556,36 +1606,35 @@ class COEntity:
             j = min(work)
             work.discard(j)
             self.counters.pack_source_scans += 1
-            threshold = self.state.min_al(j)
-            top = self.rrl.top(j)
-            while top is not None and top.seq < threshold:
-                blocker = self._first_unmet_dep(top)
+            threshold = min_al(j)
+            p = rrl.top(j)
+            while p is not None and p.seq < threshold:
+                blocker = self._first_unmet_dep(p)
                 if blocker is not None:
                     self.counters.pack_dep_blocks += 1
-                    self._dep_waiters[blocker].add(j)
+                    dep_waiters[blocker].add(j)
                     break
-                p = self.rrl.dequeue(j)
-                self._preack_floor[j] = p.seq + 1
-                # The paper's PAL rule: a pre-acknowledged PDU's ACK
-                # vector certifies what its sender had accepted.
-                self.state.merge_pal(j, p.ack)
+                rrl.dequeue(j)
+                floor[j] = p.seq + 1
+                prl.insert(p)
+                record(now, "preack", me, src=j, seq=p.seq)
                 newly.append(p)
-                waiters = self._dep_waiters[j]
+                acks.setdefault(j, []).append(p.ack)
+                waiters = dep_waiters[j]
                 if waiters:
                     work.update(waiters)
                     waiters.clear()
-                top = self.rrl.top(j)
+                p = rrl.top(j)
         if newly:
-            for p in newly:
-                self.prl.insert(p)
-                self.counters.preacknowledged += 1
-                self._trace.record(
-                    self.now, "preack", self.index, src=p.src, seq=p.seq,
+            self.counters.preacknowledged += len(newly)
+            self.counters.cpi_fast_appends = prl.fast_appends
+            self.counters.cpi_scan_inserts = prl.scan_inserts
+            for j, vectors in acks.items():
+                self.state.merge_pal(
+                    j, vectors[0] if len(vectors) == 1 else tuple(map(max, *vectors)),
                 )
-            self.counters.cpi_fast_appends = self.prl.fast_appends
-            self.counters.cpi_scan_inserts = self.prl.scan_inserts
             # Our own PAL row is our own (true) pre-acknowledgment floor.
-            self.state.merge_pal(self.index, tuple(self._preack_floor))
+            self.state.merge_pal(self.index, tuple(floor))
             if self.config.delivery_level is DeliveryLevel.PREACKNOWLEDGED:
                 self._deliver_batch_in_prl_order(newly)
         self._ack_action()
@@ -1619,16 +1668,26 @@ class COEntity:
 
     def _ack_action(self) -> None:
         """Move the PRL prefix satisfying the ACK condition to ARL; deliver."""
-        while self.prl:
-            p = self.prl.top
-            if p.seq >= self.state.min_pal(p.src):
-                break
-            self.prl.popleft()
-            self.arl.enqueue(p)
-            self._delivered_floor[p.src] = p.seq + 1
-            self.counters.acknowledged += 1
-            self._trace.record(self.now, "ack", self.index, src=p.src, seq=p.seq)
-            self._on_acknowledged(p)
+        prl = self.prl
+        p = prl.top
+        if p is not None:
+            min_pal = self.state.min_pal
+            arl = self.arl
+            floor = self._delivered_floor
+            counters = self.counters
+            record, now, me = self._trace.record, self._now, self.index
+            on_acknowledged = self._on_acknowledged  # overridable hook
+            while p is not None:
+                src, seq = p.src, p.seq
+                if seq >= min_pal(src):
+                    break
+                prl.popleft()
+                arl.enqueue(p)
+                floor[src] = seq + 1
+                counters.acknowledged += 1
+                record(now, "ack", me, src=src, seq=seq)
+                on_acknowledged(p)
+                p = prl.top
         self._prune()
 
     def _on_acknowledged(self, p: DataPdu) -> None:
@@ -1648,10 +1707,9 @@ class COEntity:
         if self._deliver_fn is None:
             raise ProtocolError("engine used before bind()")
         self.counters.delivered += 1
-        self._trace.record(self.now, "deliver", self.index, src=p.src, seq=p.seq)
-        self._deliver_fn(
-            DeliveredMessage(data=p.data, src=p.src, seq=p.seq, delivered_at=self.now)
-        )
+        self._trace.record(self._now, "deliver", self.index, src=p.src, seq=p.seq)
+        # Positional: a frozen dataclass builds faster without keywords.
+        self._deliver_fn(DeliveredMessage(p.data, p.src, p.seq, self._now))
 
     def _prune(self) -> None:
         """Release sent PDUs no entity can still request (§5 buffer bound).
@@ -1700,14 +1758,14 @@ class COEntity:
             # The old ``setdefault`` let a re-suspected peer inherit a
             # stale first-suspected timestamp whenever any path skipped
             # the dict cleanup, promoting it to eviction prematurely.
-            self._suspect_since[j] = self.now
+            self._suspect_since[j] = self._now
         self.suspected.add(j)
         self._live_others = None
         self.state.set_excluded(j, True)
         self._heard_from.discard(j)
         self._trace.record(
-            self.now, "suspect", self.index,
-            src=j, silent_for=self.now - self._last_heard[j],
+            self._now, "suspect", self.index,
+            src=j, silent_for=self._now - self._last_heard[j],
             phi=(
                 round(self.detector.last_phi(j), 3)
                 if self.detector is not None else None
@@ -1725,7 +1783,7 @@ class COEntity:
         self._live_others = None
         self._suspect_since.pop(j, None)
         self.state.set_excluded(j, False)
-        self._trace.record(self.now, "unsuspect", self.index, src=j)
+        self._trace.record(self._now, "unsuspect", self.index, src=j)
 
     # ------------------------------------------------------------------
     # View change: agreed eviction + flush (crash-recovery extension)
@@ -1785,7 +1843,7 @@ class COEntity:
         self._apply_round_fences()
         self.counters.view_proposals += 1
         self._trace.record(
-            self.now, "view-propose", self.index,
+            self._now, "view-propose", self.index,
             view=view_id, members=list(new_members),
         )
         self._send_view_pdu("propose")
@@ -1849,7 +1907,7 @@ class COEntity:
                 view_id=vc.view,
                 members=vc.members,
                 proposer=vc.src if vc.phase == "propose" else min(vc.members),
-                adopted_at=self.now,
+                adopted_at=self._now,
             )
             self._apply_round_fences()
         if r.view_id != vc.view or r.members != vc.members:
@@ -1862,10 +1920,10 @@ class COEntity:
         if self.index not in r.agreed or (vc.phase == "propose" and newly):
             r.agreed[self.index] = self.state.req_vector()
             self._trace.record(
-                self.now, "view-agree", self.index,
+                self._now, "view-agree", self.index,
                 view=r.view_id, members=list(r.members),
             )
-            r.last_sent = self.now
+            r.last_sent = self._now
             self._send_view_pdu("agree")
         if vc.phase == "install" and vc.flush:
             r.flush = tuple(vc.flush)
@@ -1890,7 +1948,7 @@ class COEntity:
         vectors = [r.agreed[m] for m in r.members]
         r.flush = tuple(max(v[k] for v in vectors) for k in range(self.n))
         self._apply_round_fences()
-        r.last_sent = self.now
+        r.last_sent = self._now
         self._send_view_pdu("install")
         self._try_install()
 
@@ -1928,7 +1986,7 @@ class COEntity:
             if stale:
                 self._stash_size -= len(stale)
                 self._trace.record(
-                    self.now, "stash-drop", self.index, src=m, count=len(stale),
+                    self._now, "stash-drop", self.index, src=m, count=len(stale),
                 )
                 stale.clear()
             # Per-peer repair bookkeeping dies with the membership: a
@@ -1936,10 +1994,10 @@ class COEntity:
             # suppress its first post-rejoin delta burst.
             self.repair.forget_peer(m)
             if self.detector is not None:
-                self.detector.forget(m, self.now)
+                self.detector.forget(m, self._now)
             self.counters.evictions += 1
             self._trace.record(
-                self.now, "evict", self.index, src=m, flush=r.flush[m],
+                self._now, "evict", self.index, src=m, flush=r.flush[m],
             )
         for m in added:
             if m == self.index:
@@ -1954,14 +2012,14 @@ class COEntity:
             self.state.set_evicted(m, False)
             self.suspected.discard(m)
             self._suspect_since.pop(m, None)
-            self._last_heard[m] = self.now
+            self._last_heard[m] = self._now
             # Fresh incarnation, fresh repair bookkeeping: its first delta
             # burst must not be rate-limited by the previous incarnation —
             # and fresh liveness statistics, for the same reason.
             self.repair.forget_peer(m)
             if self.detector is not None:
-                self.detector.forget(m, self.now)
-            self._trace.record(self.now, "readmit", self.index, src=m)
+                self.detector.forget(m, self._now)
+            self._trace.record(self._now, "readmit", self.index, src=m)
         self.members = set(r.members)
         self._live_others = None
         self.view = r.view_id
@@ -1969,7 +2027,7 @@ class COEntity:
         self._peer_view[self.index] = r.view_id
         self.counters.view_installs += 1
         self._trace.record(
-            self.now, "view-install", self.index,
+            self._now, "view-install", self.index,
             view=r.view_id, members=list(r.members), flush=list(r.flush),
         )
         self._last_install_pdu = ViewChangePdu(
@@ -1987,9 +2045,9 @@ class COEntity:
             # Re-admitted: become a full member again.
             self.joining = False
             self._join_primed = False
-            self._last_heard = [self.now] * self.n
+            self._last_heard = [self._now] * self.n
             if self.detector is not None:
-                self.detector.reset_all(self.now)
+                self.detector.reset_all(self._now)
         # Membership changed under every condition: re-run the pipeline for
         # every source, and announce the new view at once (the heartbeat
         # carries it).
@@ -2035,9 +2093,9 @@ class COEntity:
         ]
         if not laggards:
             return
-        if self.now - self._install_resend_at < self.config.ret_timeout:
+        if self._now - self._install_resend_at < self.config.ret_timeout:
             return
-        self._install_resend_at = self.now
+        self._install_resend_at = self._now
         self._send(replace(pdu, ack=self.state.req_vector(), buf=self._advertised_buf()))
 
     # ------------------------------------------------------------------
@@ -2056,7 +2114,7 @@ class COEntity:
         self._last_join_at = now
         self.counters.joins_sent += 1
         self._trace.record(
-            self.now, "join", self.index, ready=self._join_primed,
+            self._now, "join", self.index, ready=self._join_primed,
         )
         self._send(JoinPdu(
             cid=self.config.cluster_id,
@@ -2077,12 +2135,12 @@ class COEntity:
         if not self._is_coordinator:
             return  # the sponsor is the coordinator — one snapshot, one round
         if not j.ready:
-            if self.now - self._last_state_served_at < 2 * self.config.deferred_interval:
+            if self._now - self._last_state_served_at < 2 * self.config.deferred_interval:
                 return
-            self._last_state_served_at = self.now
+            self._last_state_served_at = self._now
             self.counters.state_transfers += 1
             self._trace.record(
-                self.now, "state-transfer", self.index, joiner=j.src,
+                self._now, "state-transfer", self.index, joiner=j.src,
             )
             self._send(StatePdu(
                 cid=self.config.cluster_id,
@@ -2100,7 +2158,7 @@ class COEntity:
             return
         if self._round is not None:
             return  # re-admission starts once the current round settles
-        self._trace.record(self.now, "view-propose", self.index,
+        self._trace.record(self._now, "view-propose", self.index,
                            view=self.view + 1,
                            members=sorted(self.members | {j.src}))
         self.counters.view_proposals += 1
@@ -2109,8 +2167,8 @@ class COEntity:
             members=tuple(sorted(self.members | {j.src})),
             proposer=self.index,
             agreed={self.index: self.state.req_vector()},
-            last_sent=self.now,
-            adopted_at=self.now,
+            last_sent=self._now,
+            adopted_at=self._now,
         )
         self._send_view_pdu("propose")
 
@@ -2164,19 +2222,19 @@ class COEntity:
         self._delivered_floor = list(s.ack)
         self.recovered_prefix = tuple(s.prefix)
         self._join_primed = True
-        self._last_heard = [self.now] * self.n
+        self._last_heard = [self._now] * self.n
         if self.detector is not None:
-            self.detector.reset_all(self.now)
+            self.detector.reset_all(self._now)
         self._trace.record(
-            self.now, "state-transfer", self.index,
+            self._now, "state-transfer", self.index,
             sponsor=s.src, view=s.view, applied=True,
             frontier=list(s.ack), prefix=len(s.prefix),
         )
         # Announce readiness immediately — the sponsor's re-admission round
         # is waiting on it.
-        self._last_join_at = self.now
+        self._last_join_at = self._now
         self.counters.joins_sent += 1
-        self._trace.record(self.now, "join", self.index, ready=True)
+        self._trace.record(self._now, "join", self.index, ready=True)
         self._send(JoinPdu(
             cid=self.config.cluster_id,
             src=self.index,
@@ -2256,7 +2314,7 @@ class COEntity:
         self._last_confirmed_req = req
         self._last_confirmed_pack = pack
         self._heard_from.clear()
-        self._last_send_time = self.now
+        self._last_send_time = self._now
         self._send(hb)
 
     def _heartbeat(self, req: Tuple[int, ...], pack: Tuple[int, ...], probe: bool) -> HeartbeatPdu:
@@ -2264,9 +2322,9 @@ class COEntity:
         self.counters.sent_heartbeats += 1
         if probe:
             self.counters.probes_sent += 1
-            self._trace.record(self.now, "heartbeat", self.index, probe=True)
+            self._trace.record(self._now, "heartbeat", self.index, probe=True)
         else:
-            self._trace.record(self.now, "heartbeat", self.index)
+            self._trace.record(self._now, "heartbeat", self.index)
         return HeartbeatPdu(
             cid=self.config.cluster_id,
             src=self.index,
@@ -2297,7 +2355,7 @@ class COEntity:
             self._unicast(to, self._heartbeat(
                 self.state.req_vector(), tuple(self._preack_floor), probe=False,
             ))
-        elif self.now - self._last_send_time >= self.config.deferred_interval:
+        elif self._now - self._last_send_time >= self.config.deferred_interval:
             self.counters.probe_answers_sent += 1
             self._send_confirmation(force=True, resend=True)
 

@@ -20,6 +20,7 @@ tick, by which time fresh ``BUF`` advertisements normally reopen the window.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 from repro.core.config import ProtocolConfig
 from repro.core.state import KnowledgeState
@@ -61,16 +62,20 @@ class FlowController:
         buffer_bound = self._state.min_buf() // (self._config.units_per_pdu * 2 * n)
         return min(self._config.window, buffer_bound)
 
+    def admitted(self) -> Tuple[int, int]:
+        """``(base, end)``: the flow condition admits exactly the sequence
+        numbers ``base <= SEQ < end`` right now."""
+        base = self._state.min_al(self._state.index)
+        return base, base + self.effective_window()
+
     def check(self, seq: int) -> FlowDecision:
         """May this entity broadcast a PDU with sequence number ``seq``?"""
-        base = self._state.min_al(self._state.index)
-        window = self.effective_window()
-        allowed = base <= seq < base + window
+        base, end = self.admitted()
         return FlowDecision(
-            allowed=allowed,
+            allowed=base <= seq < end,
             seq=seq,
             window_base=base,
-            effective_window=window,
+            effective_window=end - base,
         )
 
     def in_flight(self) -> int:

@@ -76,7 +76,7 @@ class DataPdu:
             raise ValueError(f"sequence numbers start at 1, got {self.seq}")
         if self.src < 0:
             raise ValueError(f"src must be a valid entity index, got {self.src}")
-        if any(a < 1 for a in self.ack):
+        if self.ack and min(self.ack) < 1:
             raise ValueError(f"ACK entries start at 1, got {self.ack}")
 
     @property
@@ -478,9 +478,7 @@ class BatchPdu:
         """
         if not self.pdus:
             return self.ack
-        return tuple(
-            max(column) for column in zip(self.ack, *(p.ack for p in self.pdus))
-        )
+        return tuple(map(max, self.ack, *(p.ack for p in self.pdus)))
 
     def wire_size(self) -> int:
         """Modelled bytes: one header + the inner PDUs' own sizes."""

@@ -20,22 +20,27 @@ class EngineDriver:
     ``driver.unicasts``.  ``driver.advertised_buf`` is what the engine reads
     as its host's free inbox units; lower it to simulate unread input.
     Every entry point also checks that no batch outlives the call that
-    opened it (docs/PROTOCOL.md §14).
+    opened it (docs/PROTOCOL.md §14).  The clock counts its reads
+    (``driver.clock_reads``) and moves ``driver.clock_drift`` seconds on
+    each one — a wall clock that runs while an input is processed.
+    ``engine_cls`` swaps in a :class:`COEntity` subclass.
     """
 
     def __init__(self, index: int, n: int, config: Optional[ProtocolConfig] = None,
                  trace: Optional[TraceLog] = None, buf: int = 10 ** 6,
-                 unicast: bool = False):
+                 unicast: bool = False, engine_cls: type = COEntity):
         self.clock = 0.0
+        self.clock_reads = 0
+        self.clock_drift = 0.0
         self.advertised_buf = buf
         self.trace = trace if trace is not None else TraceLog()
         self.sent: List[Any] = []
         self.unicasts: List[Tuple[int, Any]] = []
         self.delivered: List[DeliveredMessage] = []
-        self.engine = COEntity(
+        self.engine = engine_cls(
             index, n,
             config or ProtocolConfig(),
-            clock=lambda: self.clock,
+            clock=self._read_clock,
             trace=self.trace,
             advertised_buf=lambda: self.advertised_buf,
         )
@@ -46,6 +51,11 @@ class EngineDriver:
                 if unicast else None
             ),
         )
+
+    def _read_clock(self) -> float:
+        self.clock_reads += 1
+        self.clock += self.clock_drift
+        return self.clock
 
     # ------------------------------------------------------------------
     # Driving
