@@ -4,8 +4,8 @@
   (submit → broadcast → accept → pre-ack → ack → deliver, per entity) from
   a run's trace, yielding the latency distributions behind Figure 8 and the
   §5 claims;
-* :mod:`repro.metrics.stats` — numpy summaries (mean / percentiles / linear
-  fits for the O(n) shape checks);
+* :mod:`repro.metrics.stats` — summaries (mean / percentiles / linear fits
+  for the O(n) shape checks), standard library only;
 * :mod:`repro.metrics.reporting` — plain-text tables and series, the form
   in which every "figure" of this reproduction is emitted.
 """

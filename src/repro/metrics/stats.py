@@ -1,4 +1,4 @@
-"""Statistical summaries over metric samples (numpy-backed).
+"""Statistical summaries over metric samples (standard library only).
 
 Two consumers: the harness (summaries for report tables) and the shape
 assertions in benchmarks — Figure 8 claims *linear* growth in ``n``, which
@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from math import fsum
 from typing import Any, Dict, Iterable, List, Sequence
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -41,15 +40,30 @@ def summarize(samples: Sequence[float]) -> Summary:
     """Summary statistics; an empty sample set yields all-zero (count 0)."""
     if not samples:
         return Summary(0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    arr = np.asarray(samples, dtype=float)
+    values = sorted(float(v) for v in samples)
     return Summary(
-        count=int(arr.size),
-        mean=float(arr.mean()),
-        p50=float(np.percentile(arr, 50)),
-        p95=float(np.percentile(arr, 95)),
-        minimum=float(arr.min()),
-        maximum=float(arr.max()),
+        count=len(values),
+        mean=fsum(values) / len(values),
+        p50=_percentile(values, 50),
+        p95=_percentile(values, 95),
+        minimum=values[0],
+        maximum=values[-1],
     )
+
+
+def _percentile(ordered: Sequence[float], q: float) -> float:
+    """Linear interpolation between closest ranks (numpy's default) over
+    sorted samples, in the form that never leaves the two samples it
+    interpolates between.  ``statistics.quantiles``' weighted sum can land
+    an ulp outside them when they are equal."""
+    position = (len(ordered) - 1) * q / 100.0
+    lower = int(position)
+    t = position - lower
+    a = ordered[lower]
+    if t == 0:
+        return a
+    b = ordered[lower + 1]
+    return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
 
 
 class Histogram:
@@ -193,14 +207,18 @@ def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
         raise ValueError("xs and ys must have equal length")
     if len(xs) < 2:
         raise ValueError("need at least two points to fit a line")
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    slope, intercept = np.polyfit(x, y, 1)
-    predicted = slope * x + intercept
-    ss_res = float(np.sum((y - predicted) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    mean_x = fsum(xs) / len(xs)
+    mean_y = fsum(ys) / len(ys)
+    sxx = fsum((x - mean_x) ** 2 for x in xs)
+    if sxx == 0:
+        raise ValueError("xs must not all be equal")
+    sxy = fsum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    slope = sxy / sxx
+    intercept = mean_y - slope * mean_x
+    ss_res = fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
+    ss_tot = fsum((y - mean_y) ** 2 for y in ys)
     r_squared = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return LinearFit(float(slope), float(intercept), r_squared)
+    return LinearFit(slope, intercept, r_squared)
 
 
 def growth_ratio(xs: Sequence[float], ys: Sequence[float]) -> float:

@@ -1,5 +1,7 @@
 """Unit tests for lifecycle collection, stats and reporting."""
 
+import random
+
 import pytest
 
 from repro.metrics.collector import collect_lifecycles, latency_samples, pdu_census
@@ -98,6 +100,40 @@ class TestStats:
             linear_fit([1], [1])
         with pytest.raises(ValueError):
             linear_fit([1, 2], [1])
+
+    def test_linear_fit_rejects_a_vertical_line(self):
+        with pytest.raises(ValueError):
+            linear_fit([2, 2, 2], [1.0, 2.0, 3.0])
+
+    def test_agrees_with_numpy(self):
+        """The standard-library statistics match what numpy computed before
+        (linear-interpolation percentiles, least-squares polyfit)."""
+        np = pytest.importorskip("numpy")
+        rng = random.Random(5)
+        close = dict(rel=1e-9, abs=1e-12)
+        for size in (1, 2, 3, 7, 100, 2_000):
+            samples = [rng.choice((rng.expovariate(3.0), rng.randint(-5, 5)))
+                       for _ in range(size)]
+            s = summarize(samples)
+            arr = np.asarray(samples, dtype=float)
+            assert s.count == size
+            assert s.mean == pytest.approx(float(arr.mean()), **close)
+            assert s.p50 == pytest.approx(float(np.percentile(arr, 50)), **close)
+            assert s.p95 == pytest.approx(float(np.percentile(arr, 95)), **close)
+            assert (s.minimum, s.maximum) == (float(arr.min()), float(arr.max()))
+            if size < 2:
+                continue
+            xs = [rng.uniform(0, 64) for _ in range(size)]
+            ys = [3.5 * x - 2.0 + rng.gauss(0, 4.0) for x in xs]
+            fit = linear_fit(xs, ys)
+            slope, intercept = np.polyfit(xs, ys, 1)
+            y = np.asarray(ys)
+            predicted = slope * np.asarray(xs) + intercept
+            r_squared = 1.0 - float(np.sum((y - predicted) ** 2)) / float(
+                np.sum((y - y.mean()) ** 2))
+            assert fit.slope == pytest.approx(float(slope), **close)
+            assert fit.intercept == pytest.approx(float(intercept), **close)
+            assert fit.r_squared == pytest.approx(r_squared, **close)
 
     def test_growth_ratio_shapes(self):
         xs = [2, 4, 8]
