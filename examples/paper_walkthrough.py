@@ -46,8 +46,12 @@ def main() -> None:
     print(f"  minAL = {[e1.state.min_al(k) for k in range(3)]}"
           f"          (paper: minAL_1 = 4 -> b, c, d, e join a as pre-acked)")
 
-    sequence = [names[p.pdu_id] for p in e1.arl] + [names[p.pdu_id] for p in e1.prl]
-    print(f"\nCPI result (ARL + PRL at E1): {sequence}   (paper: a c b d e)")
+    acknowledged = [
+        names[(r.get("src"), r.get("seq"))]
+        for r in cluster.trace.select("ack", entity=e1.index)
+    ]
+    sequence = acknowledged + [names[p.pdu_id] for p in e1.prl]
+    print(f"\nCPI result (acknowledged + PRL at E1): {sequence}   (paper: a c b d e)")
 
     print("\nCausality relations decided purely from SEQ/ACK (Theorem 4.1):")
     for x, y in [("a", "b"), ("c", "d"), ("b", "d"), ("d", "e")]:

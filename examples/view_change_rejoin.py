@@ -13,8 +13,9 @@ example runs the full crash-recovery subsystem:
 3. post-eviction traffic reaches the *acknowledged* level with three
    members, and the survivors' sending logs prune back to empty;
 4. the crashed member restarts, asks to rejoin, receives a state snapshot
-   (frontier + delivered-prefix ids) from the coordinator, and a second
-   view change re-admits it (view 2, members {0, 1, 2, 3});
+   from the coordinator (its REQ frontier: everything below it is
+   recovered out of band), and a second view change re-admits it (view 2,
+   members {0, 1, 2, 3});
 5. the returnee broadcasts again — causal order intact across its two
    incarnations.
 
@@ -56,7 +57,7 @@ def main() -> None:
 
     returnee = cluster.hosts[2].engine
     print(f"E2: view={returnee.view} members={sorted(returnee.members)} "
-          f"recovered prefix ids={sorted(returnee.recovered_prefix)}")
+          f"recovered frontier={list(returnee.recovered_frontier)}")
 
     cluster.submit(2, "i am back")
     cluster.run_until_quiescent(max_time=30.0)

@@ -5,7 +5,8 @@ Layout mirrors §4 of the paper:
 * :mod:`repro.core.pdu` — the PDU formats of Figs. 4 and 5 (plus the
   heartbeat control PDU of the quiescence extension);
 * :mod:`repro.core.logs` — sending log ``SL``, per-source receipt sublogs
-  ``RRL``, pre-acknowledged log ``PRL`` and acknowledged log ``ARL``;
+  ``RRL`` and pre-acknowledged log ``PRL`` (the acknowledged log ``ARL``
+  is kept as a per-source frontier);
 * :mod:`repro.core.causality` — Theorem 4.1's sequence-number causality
   predicates and the causality-preserved insertion (CPI) operation;
 * :mod:`repro.core.state` — the knowledge matrices ``REQ``, ``AL``, ``PAL``,

@@ -64,7 +64,8 @@ Join PDU::
     u16 src
     u32 buf
 
-State-snapshot PDU::
+State-snapshot PDU (O(n): the frontier ``ack`` stands for every id the
+joiner will never be handed, docs/PROTOCOL.md §11)::
 
     u8  type = 0x06
     u8  flags = 0
@@ -74,11 +75,9 @@ State-snapshot PDU::
     u32 view
     u16 m              member-set size
     u16 n              vector length
-    u32 k              delivered-prefix entry count
     u16 members[m]
     u32 ack[n]
     u32 pack[n]
-    (u16 src, u32 seq) * k
     u32 buf
 
 Batch frame (batching extension, docs/PROTOCOL.md §14)::
@@ -185,7 +184,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import replace
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Union
 
 from repro.core.errors import ReproError
 from repro.core.pdu import (
@@ -246,14 +245,13 @@ _S_RET = struct.Struct("!BBIHHIH")
 _S_HEARTBEAT = struct.Struct("!BBIHH")
 _S_VIEWCHANGE = struct.Struct("!BBIHIHHH")
 _S_JOIN = struct.Struct("!BBIHI")
-_S_STATE = struct.Struct("!BBIHHIHHI")
+_S_STATE = struct.Struct("!BBIHHIHH")
 _S_BATCH = struct.Struct("!BBIHHH")
 _S_DIGEST = struct.Struct("!BBIHHIH")
 _S_REPAIR_PULL = struct.Struct("!BBIHHHH")
 _S_RELAY = struct.Struct("!BBIHHH")
 _S_INTERGROUP = struct.Struct("!BBIHHHIIH")
 _S_U32 = struct.Struct("!I")
-_S_PREFIX = struct.Struct("!HI")
 _S_RANGE = struct.Struct("!HII")
 
 _VEC_CACHE: Dict[int, struct.Struct] = {}
@@ -436,10 +434,10 @@ def _encode_body_into(pdu: AnyPdu, buf: bytearray, offset: int) -> int:
         )
         return offset + _S_JOIN.size
     if isinstance(pdu, StatePdu):
-        m, n, k = len(pdu.members), len(pdu.ack), len(pdu.prefix)
+        m, n = len(pdu.members), len(pdu.ack)
         _S_STATE.pack_into(
             buf, offset, _TYPE_STATE, 0, pdu.cid, pdu.src, pdu.joiner,
-            pdu.view, m, n, k,
+            pdu.view, m, n,
         )
         offset += _S_STATE.size
         _mem(m).pack_into(buf, offset, *pdu.members)
@@ -448,9 +446,6 @@ def _encode_body_into(pdu: AnyPdu, buf: bytearray, offset: int) -> int:
         offset += 4 * n
         _vec(n).pack_into(buf, offset, *pdu.pack)
         offset += 4 * n
-        for s, q in pdu.prefix:
-            _S_PREFIX.pack_into(buf, offset, s, q)
-            offset += _S_PREFIX.size
         _S_U32.pack_into(buf, offset, pdu.buf)
         return offset + 4
     if isinstance(pdu, DigestPdu):
@@ -691,9 +686,9 @@ def _decode(data: Buffer, end: int) -> AnyPdu:
     if kind == _TYPE_STATE:
         if _S_STATE.size > end:
             raise CodecError("truncated state header")
-        _, _, cid, src, joiner, view, m, n, k = _S_STATE.unpack_from(data, 0)
+        _, _, cid, src, joiner, view, m, n = _S_STATE.unpack_from(data, 0)
         offset = _S_STATE.size
-        if offset + 2 * m + 8 * n + 6 * k + 4 > end:
+        if offset + 2 * m + 8 * n + 4 > end:
             raise CodecError("truncated state PDU")
         members = _mem(m).unpack_from(data, offset)
         offset += 2 * m
@@ -701,15 +696,10 @@ def _decode(data: Buffer, end: int) -> AnyPdu:
         offset += 4 * n
         pack = _vec(n).unpack_from(data, offset)
         offset += 4 * n
-        prefix = []
-        for _ in range(k):
-            entry = _S_PREFIX.unpack_from(data, offset)
-            offset += _S_PREFIX.size
-            prefix.append(entry)
         (buf,) = _S_U32.unpack_from(data, offset)
         return StatePdu(
             cid=cid, src=src, joiner=joiner, view=view, members=members,
-            ack=ack, pack=pack, buf=buf, prefix=tuple(prefix),
+            ack=ack, pack=pack, buf=buf,
         )
     if kind == _TYPE_DIGEST:
         if _S_DIGEST.size > end:
@@ -915,10 +905,7 @@ def _body_size(pdu: AnyPdu) -> int:
     if isinstance(pdu, JoinPdu):
         return _S_JOIN.size
     if isinstance(pdu, StatePdu):
-        return (
-            _S_STATE.size + 2 * len(pdu.members) + 8 * len(pdu.ack)
-            + _S_PREFIX.size * len(pdu.prefix) + 4
-        )
+        return _S_STATE.size + 2 * len(pdu.members) + 8 * len(pdu.ack) + 4
     if isinstance(pdu, BatchPdu):
         return (
             _S_BATCH.size + 8 * len(pdu.ack) + 4

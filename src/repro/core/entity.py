@@ -52,7 +52,7 @@ from repro.core.config import (
 from repro.core.detector import PhiAccrualDetector
 from repro.core.errors import ProtocolError
 from repro.core.flow import FlowController
-from repro.core.logs import CausalLog, Log, ReceiptSublogs, SendingLog
+from repro.core.logs import CausalLog, ReceiptSublogs, SendingLog
 from repro.core.pdu import (
     BatchPdu,
     DataPdu,
@@ -80,7 +80,7 @@ SendFn = Callable[[Any], None]
 UnicastFn = Callable[[int, Any], None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeliveredMessage:
     """One ordered application message handed up through the SAP."""
 
@@ -288,8 +288,6 @@ class COEntity:
         self.rrl = ReceiptSublogs(n)
         #: Pre-acknowledged log, kept causality-ordered by CPI.
         self.prl: CausalLog = CausalLog()
-        #: Acknowledged log, in delivery order.
-        self.arl: Log[DataPdu] = Log()
         self.gaps = GapTracker(
             n,
             backoff_cap=config.ret_backoff_cap,
@@ -301,8 +299,8 @@ class COEntity:
         #: is configured.
         self.repair = RepairManager(index, n, config)
         #: delivered_floor[j]: every PDU from E_j with seq below this has
-        #: been acknowledged (hence delivered) locally; the digest's
-        #: delivered frontier.  Same-source acks are in seq order.
+        #: been acknowledged (hence delivered) locally or recovered by a
+        #: snapshot: the digest's delivered frontier, and the paper's ARL.
         self._delivered_floor: List[int] = [1] * n
         #: Rotation counter spreading escalated pulls over live peers.
         self._pull_rotation = 0
@@ -317,7 +315,10 @@ class COEntity:
         #: threshold but waits on E_k's pre-acknowledgment floor; re-queued
         #: when that floor rises.
         self._dep_waiters: List[Set[int]] = [set() for _ in range(n)]
-        self._suppressor = RetransmitSuppressor(config.ret_suppression_interval)
+        #: _suppressors[j]: re-serve rate limit for E_j's PDUs (SL or store).
+        self._suppressors = [
+            RetransmitSuppressor(config.ret_suppression_interval) for _ in range(n)
+        ]
         #: Out-of-order arrivals per source (selective retransmission only).
         self._stash: List[Dict[int, DataPdu]] = [{} for _ in range(n)]
         #: Total stashed PDUs across sources, maintained at the stash /
@@ -333,7 +334,6 @@ class COEntity:
         #: _pruned_below[j]: the floor already applied to E_j's stores, so a
         #: prune pass only rescans a store when its floor actually rose.
         self._pruned_below: List[int] = [1] * n
-        self._assist_suppressor = RetransmitSuppressor(config.ret_suppression_interval)
         #: Membership extension state.
         self.suspected: Set[int] = set()
         self._last_heard: List[float] = [self._now] * n
@@ -367,9 +367,9 @@ class COEntity:
         self._join_primed = False
         self._last_join_at: float = -1e18
         self._last_state_served_at: float = -1e18
-        #: Delivered-prefix ids recovered from the sponsor's snapshot, for
-        #: the application to fetch old payloads out of band.
-        self.recovered_prefix: Tuple[Tuple[int, int], ...] = ()
+        #: A rejoined incarnation's snapshot frontier: it is never handed
+        #: ``(src, seq)`` with ``seq < recovered_frontier[src]``.
+        self.recovered_frontier: Tuple[int, ...] = ()
         if joining and config.evict_timeout is None:
             raise ProtocolError(
                 "a joining engine needs the view-change extension "
@@ -1243,8 +1243,9 @@ class COEntity:
                 hi = self.sl.next_seq
             else:
                 hi = min(r.requested_upto, self.sl.next_seq)
+            suppressor = self._suppressors[self.index]
             for pdu in self.sl.get_range(lo, hi):
-                if self._suppressor.should_send(pdu.seq, self._now):
+                if suppressor.should_send(pdu.seq, self._now):
                     self.counters.retransmissions += 1
                     self._trace.record(
                         self._now, "retransmit", self.index, seq=pdu.seq, to=r.src,
@@ -1263,12 +1264,13 @@ class COEntity:
             # (after an eviction, only the flushed prefix is retained, and
             # that is exactly what a laggard or primed joiner can need).
             store = self._peer_store[r.lsrc]
+            suppressor = self._suppressors[r.lsrc]
             hi = min(r.requested_upto, max(store, default=0) + 1)
             for seq in range(r.requested_from, hi):
                 pdu = store.get(seq)
                 if pdu is None:
                     continue
-                if self._assist_suppressor.should_send((r.lsrc, seq), self._now):
+                if suppressor.should_send(seq, self._now):
                     self.counters.retransmissions += 1
                     self._trace.record(
                         self._now, "retransmit", self.index,
@@ -1401,11 +1403,12 @@ class COEntity:
             if not 0 <= lsrc < self.n:
                 continue
             hit = False
+            suppressor = self._suppressors[lsrc]
             if lsrc == self.index:
                 for pdu in self.sl.get_range(lo, min(hi, self.sl.next_seq)):
                     if served >= cap:
                         break
-                    if self._suppressor.should_send(pdu.seq, self._now):
+                    if suppressor.should_send(pdu.seq, self._now):
                         out = replace(pdu, buf=self._advertised_buf())
                         self.counters.retransmissions += 1
                         served += 1
@@ -1422,7 +1425,7 @@ class COEntity:
                         continue
                     if served >= cap:
                         break
-                    if self._assist_suppressor.should_send((lsrc, seq), self._now):
+                    if suppressor.should_send(seq, self._now):
                         self.counters.retransmissions += 1
                         served += 1
                         served_bytes += pdu.wire_size()
@@ -1660,19 +1663,19 @@ class COEntity:
     def _deliver_batch_in_prl_order(self, batch: List[DataPdu]) -> None:
         """PREACKNOWLEDGED ablation: deliver a freshly pre-acked batch in
         PRL (causality) order.  Safe because every causal predecessor of a
-        batch member is already in PRL or ARL (Proposition 4.3)."""
+        batch member is already in PRL or acknowledged (Proposition 4.3)."""
         members = {p.pdu_id for p in batch}
         for p in self.prl:
             if p.pdu_id in members:
                 self._deliver(p)
 
     def _ack_action(self) -> None:
-        """Move the PRL prefix satisfying the ACK condition to ARL; deliver."""
+        """Acknowledge the PRL prefix satisfying the ACK condition; deliver.
+        Nothing is kept: ``_delivered_floor`` is ARL (DESIGN.md §21)."""
         prl = self.prl
         p = prl.top
         if p is not None:
             min_pal = self.state.min_pal
-            arl = self.arl
             floor = self._delivered_floor
             counters = self.counters
             record, now, me = self._trace.record, self._now, self.index
@@ -1682,7 +1685,6 @@ class COEntity:
                 if seq >= min_pal(src):
                     break
                 prl.popleft()
-                arl.enqueue(p)
                 floor[src] = seq + 1
                 counters.acknowledged += 1
                 record(now, "ack", me, src=src, seq=seq)
@@ -1732,9 +1734,9 @@ class COEntity:
             if keep_from <= self._pruned_below[j]:
                 continue
             self._pruned_below[j] = keep_from
+            self._suppressors[j].forget_below(keep_from)
             if j == self.index:
                 self.sl.prune_below(keep_from)
-                self._suppressor.forget_below(keep_from)
                 continue
             store = self._peer_store[j]
             if not store:
@@ -2151,9 +2153,6 @@ class COEntity:
                 ack=self.state.req_vector(),
                 pack=tuple(self._preack_floor),
                 buf=self._advertised_buf(),
-                prefix=tuple(
-                    p.pdu_id for p in self.arl if not p.is_null
-                ),
             ))
             return
         if self._round is not None:
@@ -2191,9 +2190,8 @@ class COEntity:
 
         The eviction flush pinned every survivor's expectation of us at
         exactly the flush value, so we resume our own numbering there; our
-        REQ jumps to the sponsor's frontier, below which everything is
-        already delivered cluster-wide (we record those ids in
-        ``recovered_prefix`` instead of re-delivering them).
+        REQ jumps to the sponsor's frontier, below which nothing will ever
+        be handed to us: ``recovered_frontier`` (DESIGN.md §21).
         """
         self.view = s.view
         self.members = set(s.members)
@@ -2216,19 +2214,17 @@ class COEntity:
         self.state.merge_pal(self.index, s.pack)
         self.state.merge_pal(s.src, s.pack)
         self.state.update_buf(s.src, s.buf)
-        # Everything below the sponsor's frontier is delivered cluster-wide
-        # (we hold its ids in the recovered prefix), so the digest's
-        # delivered floor resumes there too.
+        # Nothing below the frontier will be delivered here, so the
+        # digest's delivered floor resumes there too.
         self._delivered_floor = list(s.ack)
-        self.recovered_prefix = tuple(s.prefix)
+        self.recovered_frontier = s.ack
         self._join_primed = True
         self._last_heard = [self._now] * self.n
         if self.detector is not None:
             self.detector.reset_all(self._now)
         self._trace.record(
             self._now, "state-transfer", self.index,
-            sponsor=s.src, view=s.view, applied=True,
-            frontier=list(s.ack), prefix=len(s.prefix),
+            sponsor=s.src, view=s.view, applied=True, frontier=list(s.ack),
         )
         # Announce readiness immediately — the sponsor's re-admission round
         # is waiting on it.
@@ -2364,11 +2360,8 @@ class COEntity:
     # ------------------------------------------------------------------
     @property
     def resident_pdus(self) -> int:
-        """PDUs held in SL + RRL + PRL + stash (the §5 buffer metric).
-
-        ARL is excluded: acknowledged PDUs are kept only "in record" and a
-        production implementation would release them on delivery.
-        """
+        """PDUs held in SL + RRL + PRL + stash (the §5 buffer metric);
+        acknowledged PDUs are released on delivery."""
         return (
             self.sl.retained + self.rrl.total + len(self.prl)
             + self._stash_size
@@ -2400,7 +2393,6 @@ class COEntity:
             "pending": len(self._pending),
             "rrl": self.rrl.total,
             "prl": len(self.prl),
-            "arl": len(self.arl),
             "sending_log": self.sl.retained,
             "stash": sum(len(s) for s in self._stash),
             "peer_store": sum(len(s) for s in self._peer_store),

@@ -1,4 +1,4 @@
-"""The paper's logs: ``SL``, ``RRL``, ``PRL``, ``ARL``.
+"""The paper's logs: ``SL``, ``RRL``, ``PRL``.
 
 §2.2 models the communication service as a set of *logs* — sequences of
 PDUs.  Each CO entity maintains:
@@ -9,8 +9,11 @@ PDUs.  Each CO entity maintains:
   *accepted* but not yet pre-acknowledged;
 * ``PRL`` (:class:`CausalLog`) — pre-acknowledged PDUs kept in causality
   order by the CPI operation, with an O(1) head pop and a seq-indexed
-  append fast path;
-* ``ARL`` (:class:`Log`) — acknowledged PDUs in delivery order.
+  append fast path.
+
+The paper's fourth log, ``ARL`` (acknowledged PDUs), is not kept: a PDU
+is released on delivery, and the engine records only the per-source
+frontier of what it acknowledged (DESIGN.md §21).
 
 :class:`Log` is the generic ordered container with the paper's vocabulary
 (``enqueue``, ``dequeue``, ``top``, ``last``).

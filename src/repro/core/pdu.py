@@ -49,7 +49,7 @@ _RELAY_FIXED_FIELDS = 4  # CID + SRC + HOPS + BUF
 _INTERGROUP_FIXED_FIELDS = 7  # CID + OGRP + SGRP + SRC + SEQ + GSEQ + BUF
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DataPdu:
     """A broadcast data unit (Figure 4).
 
@@ -275,14 +275,13 @@ class StatePdu:
     """A sponsor's state snapshot for a joining entity.
 
     Carries the sponsor's installed ``view`` and member set, its REQ
-    frontier (``ack``) and pre-acknowledgment floor (``pack``), and the
-    identities of its delivered prefix (``prefix``, as ``(src, seq)``
-    pairs).  The joiner resumes **at the frontier**: its next own sequence
-    number is ``ack[joiner]`` (the eviction flush pinned every member's
-    expectation there), and it will never re-deliver the prefix — the
-    recovered prefix ids let the application fetch old payloads out of
-    band.  Broadcast; entities other than ``joiner`` fold the vectors as
-    ordinary knowledge.
+    frontier (``ack``) and pre-acknowledgment floor (``pack``): O(n),
+    however long the sponsor has run.  The joiner resumes **at the
+    frontier**: its next own sequence number is ``ack[joiner]`` (the
+    eviction flush pinned every member's expectation there), and it will
+    never be handed a PDU ``(src, seq)`` with ``seq < ack[src]`` — the
+    application fetches those out of band.  Broadcast; entities other than
+    ``joiner`` fold the vectors as ordinary knowledge.
     """
 
     cid: int
@@ -293,7 +292,6 @@ class StatePdu:
     ack: Tuple[int, ...]
     pack: Tuple[int, ...]
     buf: int
-    prefix: Tuple[Tuple[int, int], ...] = ()
 
     is_control = True
 
@@ -302,7 +300,7 @@ class StatePdu:
             raise ValueError("ack and pack vectors must have equal length")
 
     def wire_size(self) -> int:
-        vectors = len(self.members) + 2 * len(self.ack) + 2 * len(self.prefix)
+        vectors = len(self.members) + 2 * len(self.ack)
         return (_STATE_FIXED_FIELDS + vectors) * _INT_BYTES
 
     def __str__(self) -> str:

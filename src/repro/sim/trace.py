@@ -44,7 +44,7 @@ CATEGORIES = (
     "ret",           # a RET (retransmission-request) PDU was sent
     "retransmit",    # a source rebroadcast PDUs in response to a RET
     "preack",        # a PDU moved to the pre-acknowledged log PRL
-    "ack",           # a PDU moved to the acknowledged log ARL
+    "ack",           # a PDU reached the acknowledged level (the paper's ARL)
     "deliver",       # a PDU's data was handed to the application
     "heartbeat",     # a heartbeat control PDU was sent (quiescence extension)
     "flow-blocked",  # the flow condition deferred a transmission

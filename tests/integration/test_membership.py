@@ -96,7 +96,10 @@ class TestCrashStop:
             cluster.submit(k % 3, f"post-{k}")
         cluster.run_until_quiescent(max_time=30.0)
         ack_sets = [
-            {p.pdu_id for p in host.engine.arl}
+            {
+                (r.get("src"), r.get("seq"))
+                for r in cluster.trace.select("ack", entity=host.index)
+            }
             for host in cluster.hosts
             if not host.crashed
         ]
@@ -279,11 +282,16 @@ class TestCrashRecoveryRejoin:
     def test_snapshot_prefix_covers_missed_traffic(self):
         cluster, missed = self._full_cycle()
         rejoined = cluster.hosts[2].engine
-        # Everything a survivor delivered while the victim was down is in
-        # the recovered prefix (as (src, seq) ids): no delivery gap.
-        survivor_ids = {(m.src, m.seq) for m in cluster.delivered(0)}
+        # Everything a survivor delivered while the victim was down lies
+        # below the recovered frontier, per source: no delivery gap.
+        frontier = rejoined.recovered_frontier
         own_ids = {(m.src, m.seq) for m in cluster.delivered(2)}
-        assert survivor_ids <= own_ids | set(rejoined.recovered_prefix)
+        missed = [
+            (m.src, m.seq) for m in cluster.delivered(0)
+            if (m.src, m.seq) not in own_ids and m.seq >= frontier[m.src]
+        ]
+        assert missed == []
+        assert frontier[0] > 1
         assert cluster.trace.count("state-transfer") >= 1
         assert cluster.trace.count("readmit") >= 3
 

@@ -160,13 +160,10 @@ def viewchange_pdus(draw):
 def state_pdus(draw):
     ack = draw(VECTOR)
     pack = tuple(draw(st.lists(U32_0, min_size=len(ack), max_size=len(ack))))
-    prefix = draw(
-        st.lists(st.tuples(U16, U32), max_size=12).map(tuple)
-    )
     return StatePdu(
         cid=draw(U32_0), src=draw(U16), joiner=draw(U16),
         view=draw(st.integers(0, 2 ** 16)), members=draw(MEMBERS),
-        ack=ack, pack=pack, buf=draw(U32_0), prefix=prefix,
+        ack=ack, pack=pack, buf=draw(U32_0),
     )
 
 

@@ -287,6 +287,6 @@ def test_gapless_memo_is_dropped_when_a_snapshot_replaces_req():
     engine.joining = True
     engine._apply_snapshot(StatePdu(
         cid=1, src=1, joiner=0, view=1, members=(0, 1, 2),
-        ack=(1, 1, 1), pack=(1, 1, 1), buf=10 ** 6, prefix=(),
+        ack=(1, 1, 1), pack=(1, 1, 1), buf=10 ** 6,
     ))
     assert engine._gapless_ack == {}

@@ -85,7 +85,7 @@ def test_acknowledged_prefix_agrees_across_entities(env):
     """All entities acknowledge the same PDU set (atomicity)."""
     cluster, _ = run_environment(env)
     ack_sets = [
-        {p.pdu_id for p in engine.arl}
-        for engine in cluster.engines
+        {(r.get("src"), r.get("seq")) for r in cluster.trace.select("ack", entity=i)}
+        for i in range(env["n"])
     ]
     assert all(s == ack_sets[0] for s in ack_sets)

@@ -192,7 +192,7 @@ class TestGaugesAndCounters:
         assert gauges, "no gauge samples recorded"
         assert gauge_entities(cluster.trace) == [0, 1, 2]
         sample = gauges[0].details
-        for key in ("flow_window", "in_flight", "rrl", "prl", "arl",
+        for key in ("flow_window", "in_flight", "rrl", "prl",
                     "sending_log", "gap_backlog", "resident",
                     "buf_used", "buf_free"):
             assert key in sample, key
