@@ -14,8 +14,8 @@ speed.  This package implements that model:
   experiments (Bernoulli, burst, scripted single-PDU drops);
 * :mod:`repro.net.network` — the broadcast :class:`MCNetwork` itself, which
   guarantees per-pair FIFO arrival order (links are error-free and ordered;
-  only receivers lose PDUs);
-* :mod:`repro.net.reliable` — the loss-free variant assumed by ISIS CBCAST.
+  only receivers lose PDUs).  With ``loss=None`` and unbounded receive
+  buffers it is the loss-free network ISIS CBCAST assumes.
 """
 
 from repro.net.buffers import BufferStats, ReceiveBuffer
@@ -34,7 +34,6 @@ from repro.net.loss import (
     ScriptedLoss,
 )
 from repro.net.network import MCNetwork, NetworkStats
-from repro.net.reliable import ReliableNetwork
 from repro.net.topology import Topology
 
 __all__ = [
@@ -49,7 +48,6 @@ __all__ = [
     "NetworkStats",
     "NoLoss",
     "ReceiveBuffer",
-    "ReliableNetwork",
     "RingStrategy",
     "ScriptedLoss",
     "Topology",

@@ -1,11 +1,11 @@
-"""Asyncio hosts for the sans-I/O CO engine.
+"""The asyncio host for the sans-I/O CO engine.
 
-One :class:`AsyncEntityHost` owns an engine, hands its ``on_pdu`` to the
-transport as the plain-callable sink, drives the housekeeping tick from
-absolute ``loop.call_at`` deadlines, and exposes the delivery stream.  It
-owns no task and no coroutine: every entry into the engine is one
-synchronous call.  :class:`AsyncCluster` assembles a whole group on one
-event loop.
+One :class:`AsyncEntityHost` owns an engine, hands its ``on_pdu`` to its
+:class:`~repro.runtime.udp.UdpTransport` as the plain-callable sink,
+advertises that endpoint's inbox headroom as ``BUF``, drives the
+housekeeping tick from absolute ``loop.call_at`` deadlines, and exposes
+the delivery stream.  It owns no task and no coroutine: every entry into
+the engine is one synchronous call.
 
 Everything protocol-visible still happens inside the engine — the host is
 pure plumbing, mirroring :class:`repro.core.cluster.EntityHost` for the
@@ -16,23 +16,28 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from repro.core.config import ProtocolConfig
 from repro.core.entity import COEntity, DeliveredMessage
-from repro.runtime.transport import LocalAsyncTransport
-from repro.sim.trace import FlightRecorder, TraceLog
+from repro.sim.trace import TraceLog
+
+if TYPE_CHECKING:
+    from repro.runtime.udp import UdpTransport
 
 
-#: What the wall-clock runtimes (:class:`AsyncCluster`,
-#: :class:`~repro.runtime.udp.UdpMember`) run when handed no config.  They
-#: tick faster than the LAN-simulation defaults so recovery reacts within
+#: What the wall-clock runtime (:class:`~repro.runtime.udp.UdpMember`,
+#: :func:`~repro.runtime.udp.udp_cluster`) runs when handed no config.  It
+#: ticks faster than the LAN-simulation defaults so recovery reacts within
 #: human-scale test budgets, and a pump's output shares one frame of up to
 #: 8 PDUs — the default ``window``, the most one pump can release.
 DEFAULT_RUNTIME_CONFIG = ProtocolConfig(
     tick_interval=2e-3, deferred_interval=4e-3, ret_timeout=10e-3,
     batch_max_pdus=8,
 )
+
+#: Ticks between two ``gauge`` trace records.
+GAUGE_EVERY = 8
 
 
 def lazy_loop_clock() -> Callable[[], float]:
@@ -60,44 +65,38 @@ def lazy_loop_clock() -> Callable[[], float]:
 
 
 class AsyncEntityHost:
-    """One live member of an asyncio cluster."""
+    """One live member on an event loop, over its UDP endpoint."""
 
     def __init__(
         self,
-        index: int,
-        n: int,
         config: ProtocolConfig,
-        transport: LocalAsyncTransport,
+        transport: "UdpTransport",
         trace: TraceLog,
-        clock: Callable[[], float],
-        advertised_buf: Optional[Callable[[], int]] = None,
-        gauge_every: int = 8,
     ):
-        self.index = index
+        self.index = index = transport.index
         self.transport = transport
         self.trace = trace
-        self._clock = clock
+        # The engine stamps its liveness state at construction, before any
+        # loop runs: see lazy_loop_clock.
+        self._clock = clock = lazy_loop_clock()
+        inbox = transport.inbox
         self.engine = COEntity(
-            index, n, config, clock=clock, trace=trace,
-            advertised_buf=advertised_buf,
-        )
-        # Offer the unicast path only when the transport has one — the
-        # engine falls back to flooding otherwise.
-        unicast = (
-            self._unicast if callable(getattr(transport, "unicast", None))
-            else None
+            index, len(transport.addresses), config, clock=clock, trace=trace,
+            # The real §4.2 BUF advertisement: peers size their flow
+            # windows from this member's actual inbox headroom.
+            advertised_buf=lambda: inbox.free_units,
         )
         self.engine.bind(
-            send=self._send, deliver=self._on_deliver, unicast=unicast,
+            send=self._send, deliver=self._on_deliver, unicast=self._unicast,
         )
         self.delivered: List[DeliveredMessage] = []
         self._delivery_listeners: List[Callable[[DeliveredMessage], None]] = []
         self._tick_handle: Optional[asyncio.TimerHandle] = None
         self._tick_due = 0.0
         self._tick_interval = config.tick_interval
-        self.gauge_every = gauge_every
         self._ticks = 0
-        transport.attach(index, self.engine.on_pdu)
+        transport.attach(self.engine.on_pdu)
+        transport.on_drop = self._record_drop
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -115,7 +114,7 @@ class AsyncEntityHost:
     def _on_tick(self, loop: asyncio.AbstractEventLoop) -> None:
         self.engine.on_tick()
         self._ticks += 1
-        if self.gauge_every and self._ticks % self.gauge_every == 0:
+        if self._ticks % GAUGE_EVERY == 0:
             self.sample_gauges()
         # Absolute deadlines: a tick that ran late does not push the later
         # ones back (sleeping ``interval`` after each tick adds the tick's
@@ -130,16 +129,13 @@ class AsyncEntityHost:
     # Observability
     # ------------------------------------------------------------------
     def sample_gauges(self) -> None:
-        """Record the engine's live occupancy gauges as a ``gauge`` trace
-        record (plus inbox occupancy when the transport has a per-member
-        receive buffer, as :class:`~repro.runtime.udp.UdpTransport` does).
-        """
-        sample = dict(self.engine.gauges())
-        inbox = getattr(self.transport, "inbox", None)
-        if inbox is not None:
-            sample["buf_used"] = inbox.used_units
-            sample["buf_free"] = inbox.free_units
-        self.trace.record(self._clock(), "gauge", self.index, **sample)
+        """Record the engine's live occupancy gauges plus the inbox's
+        occupancy as a ``gauge`` trace record."""
+        inbox = self.transport.inbox
+        self.trace.record(
+            self._clock(), "gauge", self.index, **self.engine.gauges(),
+            buf_used=inbox.used_units, buf_free=inbox.free_units,
+        )
 
     def counters(self) -> Dict[str, Dict[str, Any]]:
         """The unified counters dict every runtime exports.
@@ -148,13 +144,15 @@ class AsyncEntityHost:
         ``{"engine": ..., "buffer": ..., "transport": ...}`` (see
         docs/PROTOCOL.md §13).
         """
-        inbox = getattr(self.transport, "inbox", None)
-        transport_counters = getattr(self.transport, "counters", None)
         return {
             "engine": self.engine.counters.snapshot(),
-            "buffer": inbox.stats.snapshot() if inbox is not None else {},
-            "transport": transport_counters() if callable(transport_counters) else {},
+            "buffer": self.transport.inbox.stats.snapshot(),
+            "transport": self.transport.counters(),
         }
+
+    def _record_drop(self, reason: str, **details: Any) -> None:
+        self.trace.record(self._clock(), "drop", self.index,
+                          reason=reason, **details)
 
     # ------------------------------------------------------------------
     # Application side
@@ -178,103 +176,3 @@ class AsyncEntityHost:
 
     def _unicast(self, dst: int, pdu: Any) -> None:
         self.transport.unicast(self.index, dst, pdu)
-
-
-class AsyncCluster:
-    """A CO cluster on a real event loop.
-
-    >>> async def demo():
-    ...     cluster = AsyncCluster(n=3, loss_rate=0.05, seed=1)
-    ...     await cluster.start()
-    ...     cluster.broadcast(0, "hello")
-    ...     await cluster.quiesce()
-    ...     await cluster.stop()
-    ...     return [m.data for m in cluster.delivered(2)]
-    >>> asyncio.run(demo())
-    ['hello']
-    """
-
-    def __init__(
-        self,
-        n: int,
-        config: Optional[ProtocolConfig] = None,
-        loss_rate: float = 0.0,
-        delay: float = 0.0,
-        seed: int = 0,
-        trace: Optional[TraceLog] = None,
-        gauge_every: int = 8,
-    ):
-        if n < 2:
-            raise ValueError(f"a cluster needs at least 2 members, got {n}")
-        self.config = config or DEFAULT_RUNTIME_CONFIG
-        # Bounded by default, like every wall-clock runtime: pass
-        # ``TraceLog()`` for a complete log (see UdpMember).
-        self.trace = trace if trace is not None else FlightRecorder()
-        self.transport = LocalAsyncTransport(
-            n, loss_rate=loss_rate, delay=delay, seed=seed,
-        )
-        self._clock = lazy_loop_clock()
-        self.hosts = [
-            AsyncEntityHost(
-                i, n, self.config, self.transport, self.trace,
-                clock=self._clock, gauge_every=gauge_every,
-            )
-            for i in range(n)
-        ]
-
-    @property
-    def n(self) -> int:
-        return len(self.hosts)
-
-    @property
-    def engines(self) -> List[COEntity]:
-        return [host.engine for host in self.hosts]
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    async def start(self) -> None:
-        await self.transport.start()
-        for host in self.hosts:
-            host.start()
-
-    async def stop(self) -> None:
-        for host in self.hosts:
-            host.stop()
-        await self.transport.stop()
-
-    # ------------------------------------------------------------------
-    # Use
-    # ------------------------------------------------------------------
-    def broadcast(self, member: int, data: Any, size: int = 0) -> None:
-        self.hosts[member].submit(data, size)
-
-    def delivered(self, member: int) -> List[DeliveredMessage]:
-        return list(self.hosts[member].delivered)
-
-    def counters(self) -> List[Dict[str, Dict[str, Any]]]:
-        """Per-member unified counters dicts (docs/PROTOCOL.md §13)."""
-        return [host.counters() for host in self.hosts]
-
-    async def quiesce(self, timeout: float = 10.0, settle: float = 0.02) -> None:
-        """Wait until every engine drains and the transport empties.
-
-        Raises ``asyncio.TimeoutError`` if that takes longer than
-        ``timeout`` wall-clock seconds.
-        """
-
-        async def wait() -> None:
-            streak = 0
-            while True:
-                quiet = self.transport.idle and all(
-                    engine.quiescent for engine in self.engines
-                )
-                if quiet:
-                    streak += 1
-                    if streak >= 2:
-                        return
-                else:
-                    streak = 0
-                await asyncio.sleep(settle)
-
-        await asyncio.wait_for(wait(), timeout=timeout)

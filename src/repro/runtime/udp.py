@@ -31,8 +31,8 @@ peers' flow windows (§4.2) throttle before the next one.
 
 Usage::
 
-    transport = UdpTransport(index=0, peers=["127.0.0.1:9001", ...])
-    # then host it exactly like LocalAsyncTransport via AsyncEntityHost —
+    member = UdpMember(0, peers=["127.0.0.1:9001", "127.0.0.1:9002", ...])
+    await member.start()
     # or use udp_cluster() to assemble a loopback group in one call.
 """
 
@@ -51,10 +51,8 @@ from repro.core.pdu import BatchPdu
 from repro.core.config import ProtocolConfig
 from repro.core.entity import COEntity, DeliveredMessage
 from repro.net.buffers import ReceiveBuffer
-from repro.runtime.host import (
-    DEFAULT_RUNTIME_CONFIG, AsyncEntityHost, lazy_loop_clock,
-)
-from repro.runtime.transport import Sink
+from repro.net.network import Sink
+from repro.runtime.host import DEFAULT_RUNTIME_CONFIG, AsyncEntityHost
 from repro.sim.trace import FlightRecorder, TraceLog
 
 Address = Tuple[str, int]
@@ -137,7 +135,8 @@ class UdpTransport:
         self.on_drop: Optional[Callable[..., None]] = None
         self.datagrams_sent = 0
         #: Datagrams counted as sent that never reached the wire: injected
-        #: loss plus the ones the kernel refused (``send_blocked``).
+        #: loss, the ones the kernel refused (``send_blocked``) and any sent
+        #: while no socket is open (before :meth:`start`, after :meth:`stop`).
         self.datagrams_dropped = 0
         #: Datagrams the kernel refused because the socket's send buffer
         #: was full (``EAGAIN``/``ENOBUFS``) — sender-side overrun.
@@ -170,18 +169,15 @@ class UdpTransport:
         }
 
     # ------------------------------------------------------------------
-    # Host interface (same shape as LocalAsyncTransport)
+    # Host interface
     # ------------------------------------------------------------------
-    def attach(self, index: int, sink: Sink) -> None:
-        if index != self.index:
-            raise ValueError(
-                f"this endpoint is member {self.index}, cannot attach {index}"
-            )
+    def attach(self, sink: Sink) -> None:
+        """Set this endpoint's receive path (once)."""
         if self._sink is not None:
             raise ValueError("already attached")
         self._sink = sink
 
-    async def start(self) -> None:
+    def start(self) -> None:
         if self._sink is None:
             raise RuntimeError("attach a sink before starting")
         address = self.addresses[self.index]
@@ -197,7 +193,7 @@ class UdpTransport:
         self._sock = sock
         asyncio.get_running_loop().add_reader(sock, self._on_readable)
 
-    async def stop(self) -> None:
+    def stop(self) -> None:
         """Unregister the reader, then close the socket (in that order: a
         closed descriptor cannot be removed from the selector).  Safe to
         call twice, or without a successful :meth:`start`."""
@@ -262,6 +258,9 @@ class UdpTransport:
                 self.datagrams_dropped += 1
             else:
                 self.errors += 1
+        except AttributeError:
+            # No socket (``_sock`` is None): never started, or stopped.
+            self.datagrams_dropped += 1
 
     # ------------------------------------------------------------------
     # Receive path
@@ -333,18 +332,7 @@ class UdpMember:
             units_per_pdu=self.config.units_per_pdu,
             max_frame_bytes=max_frame_bytes,
         )
-        self.transport.on_drop = self._record_drop
-        # The engine's liveness state is stamped with clock() at
-        # construction, which happens before any loop runs — a lazy clock
-        # (not a 0.0 placeholder) keeps those stamps on the loop's epoch.
-        self._clock = lazy_loop_clock()
-        self.host = AsyncEntityHost(
-            index, len(peers), self.config, self.transport, self.trace,
-            clock=self._clock,
-            # The real §4.2 BUF advertisement: peers size their flow
-            # windows from this member's actual inbox headroom.
-            advertised_buf=lambda: self.transport.inbox.free_units,
-        )
+        self.host = AsyncEntityHost(self.config, self.transport, self.trace)
 
     @property
     def engine(self) -> COEntity:
@@ -362,17 +350,13 @@ class UdpMember:
         """The unified counters dict (docs/PROTOCOL.md §13)."""
         return self.host.counters()
 
-    def _record_drop(self, reason: str, **details: Any) -> None:
-        self.trace.record(self._clock(), "drop", self.index,
-                          reason=reason, **details)
-
     async def start(self) -> None:
-        await self.transport.start()
+        self.transport.start()
         self.host.start()
 
     async def stop(self) -> None:
         self.host.stop()
-        await self.transport.stop()
+        self.transport.stop()
 
     def broadcast(self, data: Any, size: int = 0) -> None:
         self.host.submit(data, size)

@@ -1,0 +1,33 @@
+"""Every script in ``examples/`` runs to completion.
+
+Each example prints a self-checking summary backed by the ordering oracles
+and raises if a check fails, so a zero exit status is the whole contract.
+They run as their own processes, with ``PYTHONPATH=src`` as the README
+tells a reader to run them.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[2]
+EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
+
+
+def test_examples_are_found():
+    assert len(EXAMPLES) >= 9
+
+
+@pytest.mark.parametrize("script", EXAMPLES, ids=[p.name for p in EXAMPLES])
+def test_example_exits_cleanly(script):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(script)], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]

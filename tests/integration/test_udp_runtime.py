@@ -13,9 +13,10 @@ import time
 import pytest
 
 from repro.core.codec import encode_pdu
+from repro.core.config import DisseminationMode, ProtocolConfig
 from repro.core.pdu import HeartbeatPdu
 from repro.ordering.checker import verify_run
-from repro.runtime.host import AsyncCluster, lazy_loop_clock
+from repro.runtime.host import lazy_loop_clock
 from repro.runtime.udp import RECV_BURST, UdpMember, UdpTransport, udp_cluster
 from repro.sim.trace import FlightRecorder, TraceLog
 
@@ -118,8 +119,6 @@ class TestUdpCluster:
         """The §16 ring over UDP: relay wrappers must survive the codec
         and the per-destination datagram path, and every member still
         delivers everything in causal order."""
-        from repro.core.config import DisseminationMode, ProtocolConfig
-
         config = ProtocolConfig(
             tick_interval=2e-3, deferred_interval=4e-3, ret_timeout=10e-3,
             dissemination=DisseminationMode.RING,
@@ -142,12 +141,53 @@ class TestUdpCluster:
         assert sum(m.engine.counters.relays_sent for m in members) == 6
         assert sum(m.engine.counters.relay_forwards for m in members) > 0
 
+    def test_gossip_dissemination_over_real_sockets(self):
+        """The §16 gossip relay over UDP: data travels as relay hops, and
+        every member still delivers everything in causal order."""
+        n, rounds = 4, 3
+        config = ProtocolConfig(
+            tick_interval=2e-3, deferred_interval=4e-3, ret_timeout=10e-3,
+            dissemination=DisseminationMode.GOSSIP,
+            gossip_fanout=2, gossip_seed=9, anti_entropy_interval=20e-3,
+        )
+
+        async def scenario():
+            members = await udp_cluster(n, base_port=20110, seed=6,
+                                        config=config)
+            try:
+                for round_ in range(rounds):
+                    for member in members:
+                        member.broadcast(f"m{member.index}.{round_}".encode())
+                await quiesce(members, timeout=30.0)
+            finally:
+                await stop_all(members)
+            return members
+
+        members = run(scenario())
+        for member in members:
+            assert len(member.delivered) == n * rounds
+        verify_run(members[0].trace, n).assert_ok()
+        # One first hop per broadcast.
+        assert sum(m.engine.counters.relays_sent for m in members) == n * rounds
+
+    def test_delivery_listener(self):
+        async def scenario():
+            members = await udp_cluster(2, base_port=20120, seed=5)
+            seen = []
+            members[1].host.add_delivery_listener(lambda m: seen.append(m.data))
+            try:
+                members[0].broadcast(b"ping")
+                await quiesce(members)
+            finally:
+                await stop_all(members)
+            return seen
+
+        assert run(scenario()) == [b"ping"]
+
     def test_split_frame_raises_no_retransmission_request(self):
         """A frame split over several datagrams must not read as loss: an
         early chunk's header once named the seqs of the chunk behind it, and
         every receiver requested them the moment it read the first chunk."""
-        from repro.core.config import ProtocolConfig
-
         n, burst = 4, 40
         config = ProtocolConfig(
             tick_interval=2e-3, deferred_interval=4e-3, ret_timeout=10e-3,
@@ -406,16 +446,38 @@ class TestRunToCompletion:
         assert counters["socket_errors"] == 1
         assert counters["send_blocked"] == 0
 
+    def test_send_without_a_socket_is_a_counted_drop(self):
+        """Regression: a send on a member that is stopped, or was never
+        started, raised ``AttributeError`` out of ``_sendto`` into the
+        engine mid-submit."""
+        async def scenario():
+            members = await udp_cluster(2, base_port=20130, seed=11)
+            await stop_all(members)
+            return members[0]
+
+        stopped = run(scenario())
+        unstarted = UdpMember(0, ["127.0.0.1:1", "127.0.0.1:2"])
+        for member in (stopped, unstarted):
+            before = member.counters()["transport"]
+            member.broadcast(b"no socket")  # must not raise
+            after = member.counters()["transport"]
+            sent = after["datagrams_sent"] - before["datagrams_sent"]
+            assert sent >= 1
+            assert after["datagrams_dropped"] - before["datagrams_dropped"] == sent
+            assert after["send_blocked"] == before["send_blocked"]
+            assert after["socket_errors"] == before["socket_errors"]
+            assert member.engine.counters.sent_data == 1
+
     def test_stop_unregisters_the_reader_and_is_idempotent(self):
         async def scenario():
             transport = UdpTransport(index=0, peers=["127.0.0.1:20040",
                                                      "127.0.0.1:20041"])
-            transport.attach(0, lambda pdu: None)
-            await transport.stop()  # never started: nothing to do
-            await transport.start()
+            transport.attach(lambda pdu: None)
+            transport.stop()  # never started: nothing to do
+            transport.start()
             fd = transport._sock.fileno()
-            await transport.stop()
-            await transport.stop()
+            transport.stop()
+            transport.stop()
             # Nothing left registered for the descriptor.
             return asyncio.get_running_loop().remove_reader(fd)
 
@@ -443,16 +505,44 @@ class TestRunToCompletion:
         run(scenario())
 
 
+class TestHostTick:
+    def test_ticks_keep_their_period_skip_a_stall_and_stop(self):
+        async def scenario():
+            members = await udp_cluster(2, base_port=20100, seed=7)
+            host = members[0].host
+            interval = members[0].config.tick_interval
+            try:
+                await asyncio.sleep(25 * interval)
+                assert host._ticks >= 10  # late ticks allowed, lost ones not
+                # Stall the loop for 25 periods: the host must not replay
+                # them, only tick once late and once more to catch up.
+                before = host._ticks
+                time.sleep(25 * interval)
+                resumed_at = time.monotonic()
+                await asyncio.sleep(2 * interval)
+                after_stall = host._ticks - before
+                allowed = 2 + (time.monotonic() - resumed_at) / interval
+                assert 1 <= after_stall <= allowed, (after_stall, allowed)
+            finally:
+                await stop_all(members)
+            stopped = host._ticks
+            await asyncio.sleep(5 * interval)
+            return host._ticks - stopped
+
+        assert run(scenario()) == 0
+
+
 class TestDefaultTrace:
     def test_default_trace_is_bounded(self):
         member = UdpMember(0, ["127.0.0.1:1", "127.0.0.1:2"])
         assert isinstance(member.trace, FlightRecorder)
-        assert isinstance(AsyncCluster(n=2).trace, FlightRecorder)
+        assert isinstance(member.host.trace, FlightRecorder)
 
     def test_explicit_tracelog_is_kept_complete(self):
         full = TraceLog()
-        assert UdpMember(0, ["127.0.0.1:1", "127.0.0.1:2"], trace=full).trace is full
-        assert AsyncCluster(n=2, trace=full).trace is full
+        member = UdpMember(0, ["127.0.0.1:1", "127.0.0.1:2"], trace=full)
+        assert member.trace is full
+        assert member.host.trace is full
         assert not isinstance(full, FlightRecorder)
 
     def test_udp_cluster_shares_one_bounded_recorder(self):
@@ -499,7 +589,17 @@ class TestUdpTransportValidation:
         with pytest.raises(ValueError):
             UdpTransport(index=0, peers=["127.0.0.1:1", "127.0.0.1:2"], loss_rate=1.0)
 
-    def test_attach_own_index_only(self):
+    def test_second_attach_rejected(self):
         transport = UdpTransport(index=0, peers=["127.0.0.1:1", "127.0.0.1:2"])
+        transport.attach(lambda pdu: None)
         with pytest.raises(ValueError):
-            transport.attach(1, lambda pdu: None)
+            transport.attach(lambda pdu: None)
+
+    def test_start_needs_a_sink(self):
+        async def scenario():
+            transport = UdpTransport(index=0, peers=["127.0.0.1:20140",
+                                                     "127.0.0.1:20141"])
+            with pytest.raises(RuntimeError):
+                transport.start()
+
+        run(scenario())

@@ -7,7 +7,6 @@ import pytest
 from repro.net.delay import JitterDelay, LinkDelay
 from repro.net.loss import BernoulliLoss, DuplicatingChannel, NoLoss, ScriptedLoss
 from repro.net.network import MCNetwork
-from repro.net.reliable import ReliableNetwork
 from repro.net.topology import Topology
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
@@ -153,16 +152,12 @@ def test_max_delay_exposed():
 
 
 def test_reliable_network_never_drops():
-    sim = Simulator()
-    net = ReliableNetwork(sim, TraceLog(), Topology.uniform(3, 1.0))
-    inbox = []
-    net.attach(0, lambda p: None)
-    net.attach(1, inbox.append)
-    net.attach(2, lambda p: None)
+    """``loss=None`` is the reliable network ISIS CBCAST assumes."""
+    sim, net, inboxes, _ = build(loss=None)
     for k in range(50):
         net.broadcast(0, Pdu(0, k + 1))
     sim.run()
-    assert len(inbox) == 50
+    assert len(inboxes[1]) == 50
     assert net.stats.copies_dropped == 0
 
 
