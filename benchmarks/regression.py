@@ -589,53 +589,44 @@ def detector_point(n: int, seeds: Tuple[int, ...],
     Both run in simulated time on seeded RNGs, so like the convergence
     axis the numbers are deterministic per seed.
     """
-    from repro.harness.nemesis import (  # noqa: PLC0415
-        _crash_and_measure, _gray_cluster, _schedule_spikes,
-    )
-    from repro.net.delay import LinkDelay
+    from dataclasses import replace  # noqa: PLC0415
 
-    adaptive = mode_name == "adaptive"
-    victim = n - 2
-    survivors = [i for i in range(n) if i != victim]
+    from repro.harness.nemesis import (  # noqa: PLC0415
+        ADAPTIVE, GRAY, SCENARIOS, Traffic, detect_crash, false_evictions,
+        start,
+    )
+
+    # Jitter phase: the jittery-link scenario's spikes and traffic at a
+    # live victim, on this mode's detector.
+    jitter = replace(
+        SCENARIOS["jittery-link"], n=n, victim=n - 2,
+        config=ADAPTIVE if mode_name == "adaptive" else GRAY,
+    )
+    # Crash phase: a clean cluster trains its windows on healthy traffic,
+    # then the victim really dies.
+    clean = replace(
+        jitter, faults=dict, schedule=(), run=0.12,
+        traffic=(Traffic("t", 12, start=0.002, spacing=0.006),),
+    )
     latencies: List[float] = []
-    false_evictions = 0
+    evictions = 0
     wall = float("inf")
     for seed in seeds:
-        start = time.perf_counter()
-        # Jitter phase: scripted outbound delay spikes at a live victim
-        # (the scenario_jittery_link fault schedule and traffic shape).
-        link = LinkDelay()
-        jitter = _gray_cluster(n, seed, adaptive=adaptive, delay_model=link)
-        _schedule_spikes(jitter, link, victim, n)
-        for k in range(26):
-            jitter.sim.schedule(
-                0.004 + 0.008 * k,
-                lambda c=jitter, s=k % n, p=f"d-{k}": c.submit(s, p),
-            )
-        jitter.run_for(0.30)
-        false_evictions += sum(
-            1 for i in survivors
-            if any(victim not in members
-                   for _view, members in jitter.hosts[i].engine.view_log)
-        )
-        # Crash phase: a clean cluster trains its windows on healthy
-        # traffic, then the victim really dies.
-        crash = _gray_cluster(n, seed, adaptive=adaptive)
-        for k in range(12):
-            crash.sim.schedule(
-                0.002 + 0.006 * k,
-                lambda c=crash, s=k % n, p=f"t-{k}": c.submit(s, p),
-            )
-        crash.run_for(0.12)
-        latencies.append(_crash_and_measure(crash, victim, survivors))
-        wall = min(wall, time.perf_counter() - start)
+        begin = time.perf_counter()
+        run = start(jitter, seed)
+        run.play()
+        evictions += false_evictions(run)
+        run = start(clean, seed)
+        run.play()
+        latencies.append(detect_crash(run))
+        wall = min(wall, time.perf_counter() - begin)
     return {
         "n": n,
         "mode": mode_name,
         "seeds": list(seeds),
         "detect_latency_s": sum(latencies) / len(latencies),
         "detect_latency_s_max": max(latencies),
-        "false_evictions": false_evictions,
+        "false_evictions": evictions,
         "wall_s": wall,
     }
 

@@ -20,9 +20,23 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from functools import partial
+from typing import Any, List, Optional
 
+from repro.harness.nemesis import (
+    Crash,
+    InvariantViolation,
+    Run,
+    Scenario,
+    Traffic,
+    agreed,
+    ordered,
+    pruned,
+    readmitted,
+    run_scenario,
+)
 from repro.harness.runner import ExperimentConfig, _build_workload, run_experiment
+from repro.net.loss import BernoulliLoss
 from repro.sim.trace import FlightRecorder, TraceLog
 
 #: The pools each trial draws from.
@@ -122,6 +136,42 @@ def run_trial(
     return TrialOutcome(index, config, True, result.quiesced)
 
 
+def _survivors_agree(run: Run) -> None:
+    counts = {len(run.cluster.delivered(i)) for i in run.survivors}
+    if len(counts) != 1:
+        raise InvariantViolation(
+            f"survivors disagree on delivery count: {sorted(counts)}"
+        )
+
+
+def _membership_trial(
+    index: int,
+    trial_seed: int,
+    trace: Optional[TraceLog],
+    n: int,
+    loss_rate: float,
+    messages: int,
+    victim: int,
+    **spec: Any,
+) -> TrialOutcome:
+    """Run one membership trial as a nemesis scenario: ``messages``
+    broadcasts round robin, the spec's crash step, its oracles."""
+    outcome = run_scenario(
+        Scenario(
+            n=n, victim=victim, max_time=120.0,
+            faults=lambda: (
+                {"loss": BernoulliLoss(loss_rate, protect_control=True)}
+                if loss_rate else {}
+            ),
+            traffic=(Traffic("pre", messages),),
+            **spec,
+        ),
+        trial_seed, trace,
+    )
+    config = ExperimentConfig(n=n, seed=trial_seed)  # record-keeping only
+    return TrialOutcome(index, config, outcome.ok, outcome.ok, outcome.detail)
+
+
 def run_crash_trial(
     index: int,
     rng: random.Random,
@@ -130,53 +180,27 @@ def run_crash_trial(
 ) -> TrialOutcome:
     """A membership trial: random traffic, one random crash, survivors judged.
 
-    Built directly on the cluster API (``run_experiment`` has no fault
+    Built on the nemesis runner (``run_experiment`` has no fault
     injection).  Survivors must quiesce, agree on the acknowledged set and
     show no ordering violations; completeness is judged per the membership
     semantics (everything any survivor accepted reaches every survivor, so
     all survivor delivery counts must be equal).
     """
-    from repro.core.cluster import build_cluster
-    from repro.core.config import ProtocolConfig
-    from repro.net.loss import BernoulliLoss
-    from repro.ordering.checker import verify_run
-    from repro.sim.rng import RngRegistry
-
     n = rng.choice((3, 4, 5))
     loss_rate = rng.choice((0.0, 0.05, 0.10))
     messages = rng.randint(3, 8)
     victim = rng.randrange(n)
-    config = ExperimentConfig(n=n, seed=trial_seed)  # record-keeping only
-    try:
-        cluster = build_cluster(
-            n,
-            config=ProtocolConfig(suspect_timeout=0.02),
-            trace=trace,
-            loss=BernoulliLoss(loss_rate, protect_control=True) if loss_rate else None,
-            rngs=RngRegistry(trial_seed),
-        )
-        for k in range(messages):
-            cluster.submit(k % n, f"pre-{k}")
-        cluster.run_for(rng.choice((0.002, 0.01, 0.03)))
-        cluster.crash(victim)
-        survivors = [i for i in range(n) if i != victim]
-        for k in range(messages):
-            cluster.submit(survivors[k % len(survivors)], f"post-{k}")
-        cluster.run_until_quiescent(max_time=120.0)
-    except TimeoutError:
-        return TrialOutcome(index, config, False, False, "crash trial did not quiesce")
-    except Exception as exc:
-        return TrialOutcome(index, config, False, False, f"exception: {exc!r}")
-    run_report = verify_run(cluster.trace, n, expect_all_delivered=False)
-    if not run_report.ok:
-        return TrialOutcome(index, config, False, True, run_report.summary())
-    counts = {len(cluster.delivered(i)) for i in survivors}
-    if len(counts) != 1:
-        return TrialOutcome(
-            index, config, False, True,
-            f"survivors disagree on delivery count: {sorted(counts)}",
-        )
-    return TrialOutcome(index, config, True, True)
+    survivors = tuple(i for i in range(n) if i != victim)
+    return _membership_trial(
+        index, trial_seed, trace, n, loss_rate, messages, victim,
+        name="crash-injection", doc=run_crash_trial.__doc__,
+        config=dict(suspect_timeout=0.02),
+        crash=Crash(
+            at=rng.choice((0.002, 0.01, 0.03)),
+            post=Traffic("post", messages, sources=survivors),
+        ),
+        oracles=(ordered, _survivors_agree),
+    )
 
 
 def run_evict_trial(
@@ -194,64 +218,28 @@ def run_evict_trial(
     and — on the rejoin variant — re-admit the restarted victim through the
     state-transfer handshake without an ordering violation.
     """
-    from repro.core.cluster import build_cluster
-    from repro.core.config import ProtocolConfig
-    from repro.harness.nemesis import (
-        check_prune_resumption,
-        check_view_agreement,
-        InvariantViolation,
-    )
-    from repro.net.loss import BernoulliLoss
-    from repro.ordering.checker import verify_run
-    from repro.sim.rng import RngRegistry
-
     n = rng.choice((3, 4, 5))
     loss_rate = rng.choice((0.0, 0.05))
     messages = rng.randint(3, 8)
     victim = rng.randrange(n)
     rejoin = rng.random() < 0.5
-    config = ExperimentConfig(n=n, seed=trial_seed)  # record-keeping only
-    survivors = [i for i in range(n) if i != victim]
-    try:
-        cluster = build_cluster(
-            n,
-            config=ProtocolConfig(suspect_timeout=0.02, evict_timeout=0.05),
-            trace=trace,
-            loss=BernoulliLoss(loss_rate, protect_control=True) if loss_rate else None,
-            rngs=RngRegistry(trial_seed),
-        )
-        for k in range(messages):
-            cluster.submit(k % n, f"pre-{k}")
-        cluster.run_for(rng.choice((0.002, 0.01)))
-        cluster.crash(victim)
-        cluster.run_for(0.7)  # let suspicion ripen and the eviction install
-        views = {cluster.hosts[i].engine.view for i in survivors}
-        if views != {1}:
-            return TrialOutcome(
-                index, config, False, False, f"eviction never installed: {views}",
-            )
-        for k in range(messages):
-            cluster.submit(survivors[k % len(survivors)], f"post-{k}")
-        cluster.run_until_quiescent(max_time=120.0)
-        check_prune_resumption(cluster, survivors)
-        if rejoin:
-            cluster.restart(victim)
-            cluster.run_until_quiescent(max_time=120.0)
-            if cluster.hosts[victim].engine.view < 2:
-                return TrialOutcome(
-                    index, config, False, True, "victim never re-admitted",
-                )
-        check_view_agreement(cluster.engines, survivors)
-    except TimeoutError:
-        return TrialOutcome(index, config, False, False, "evict trial did not quiesce")
-    except InvariantViolation as exc:
-        return TrialOutcome(index, config, False, True, str(exc))
-    except Exception as exc:
-        return TrialOutcome(index, config, False, False, f"exception: {exc!r}")
-    run_report = verify_run(cluster.trace, n, expect_all_delivered=False)
-    if not run_report.ok:
-        return TrialOutcome(index, config, False, True, run_report.summary())
-    return TrialOutcome(index, config, True, True)
+    survivors = tuple(i for i in range(n) if i != victim)
+    return _membership_trial(
+        index, trial_seed, trace, n, loss_rate, messages, victim,
+        name="evict-rejoin", doc=run_evict_trial.__doc__,
+        config=dict(suspect_timeout=0.02, evict_timeout=0.05),
+        # 0.7 lets suspicion ripen and the eviction install.
+        crash=Crash(
+            at=rng.choice((0.002, 0.01)), evict_wait=0.7,
+            post=Traffic("post", messages, sources=survivors), restart=rejoin,
+        ),
+        oracles=(
+            partial(pruned, on="survivors"),
+            *((readmitted,) if rejoin else ()),
+            partial(agreed, on="survivors"),
+            ordered,
+        ),
+    )
 
 
 def run_soak(
