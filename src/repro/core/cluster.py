@@ -37,6 +37,15 @@ from repro.sim.trace import TraceLog
 #: ``factory(index, n, config, clock, trace, advertised_buf) -> engine``.
 EngineFactory = Callable[..., Any]
 
+#: Fraction of the data-PDU cost a pure control PDU (heartbeat, RET,
+#: view/join traffic, empty batch frame) costs.  Control processing is
+#: vector merges only — none of the log/CPI/delivery pipeline a data PDU
+#: runs — so charging it a full Tco makes all-to-all confirmation chatter
+#: saturate large clusters in a way real hosts would not.
+CONTROL_SHARE = 0.25
+#: Ticks between two ``gauge`` trace records, on every host.
+GAUGE_EVERY = 8
+
 
 @dataclass(frozen=True)
 class CpuModel:
@@ -54,16 +63,10 @@ class CpuModel:
     base: float = 40e-6
     #: Cost per cluster entity (vector handling), seconds.
     per_entity: float = 8e-6
-    #: Fraction of the data-PDU cost a pure control PDU (heartbeat, RET,
-    #: view/join traffic, empty batch frame) costs.  Control processing is
-    #: vector merges only — none of the log/CPI/delivery pipeline a data
-    #: PDU runs — so charging it a full Tco makes all-to-all confirmation
-    #: chatter saturate large clusters in a way real hosts would not.
-    control_share: float = 0.25
 
     def service_time(self, pdu: Any, n: int) -> float:
         if getattr(pdu, "is_control", False):
-            return self.control_share * (self.base + self.per_entity * n)
+            return CONTROL_SHARE * (self.base + self.per_entity * n)
         # A batch frame is k data PDUs' worth of vector folding; the fixed
         # per-frame cost is paid once — that is the Tco win from batching.
         count = max(1, getattr(pdu, "pdu_count", 1))
@@ -83,7 +86,6 @@ class EntityHost(SimProcess):
         buffer: ReceiveBuffer,
         cpu: CpuModel,
         tick_interval: float,
-        gauge_every: int = 8,
     ):
         super().__init__(sim, trace, index)
         self.engine = engine
@@ -98,9 +100,6 @@ class EntityHost(SimProcess):
         #: Service-time multiplier (gray-failure injection: a CPU-inflated
         #: "slow node" serves every PDU this many times slower).
         self.cpu_scale = 1.0
-        #: Sample the engine's occupancy gauges every this many ticks
-        #: (0 disables sampling).
-        self.gauge_every = gauge_every
         self._ticks = 0
         self._tick = PeriodicTimer(sim, tick_interval, self._on_tick)
         self.pdus_processed = 0
@@ -215,7 +214,7 @@ class EntityHost(SimProcess):
     def _on_tick(self) -> None:
         self.engine.on_tick()
         self._ticks += 1
-        if self.gauge_every and self._ticks % self.gauge_every == 0:
+        if self._ticks % GAUGE_EVERY == 0:
             self.sample_gauges()
 
     def sample_gauges(self) -> None:
@@ -554,7 +553,6 @@ def build_cluster(
     cpu: Optional[CpuModel] = None,
     engine_factory: EngineFactory = default_engine_factory,
     duplication: Optional[DuplicatingChannel] = None,
-    gauge_every: int = 8,
     delay_model: Optional["DelayModel"] = None,
     roster: Optional[Sequence[int]] = None,
 ) -> Cluster:
@@ -604,7 +602,6 @@ def build_cluster(
         )
         host = EntityHost(
             sim, trace, i, engine, network, buffer, cpu, config.tick_interval,
-            gauge_every=gauge_every,
         )
         hosts.append(host)
     cluster = Cluster(

@@ -1,8 +1,14 @@
 """Protocol configuration.
 
-All tunables of the CO protocol live in one frozen dataclass so an
-experiment's parameters can be recorded verbatim.  The paper's symbols map to
-fields as follows:
+Every tunable that some experiment sets to a second value lives in one
+frozen dataclass, so an experiment's parameters can be recorded verbatim.  A
+value with only one setting in use is not a field but a named constant in
+the module that reads it: the RET back-off and suppression in
+:mod:`repro.core.retransmit`, the phi thresholds in
+:mod:`repro.core.detector`, the repair bounds in :mod:`repro.core.repair`
+and the bridge retransmit cadence in :mod:`repro.core.groups`.
+docs/PROTOCOL.md §19 tables every field with the caller that varies it.
+The paper's symbols map to fields as follows:
 
 ===========  =========================  =======================================
 Paper        Field                      Meaning
@@ -27,6 +33,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 
+from repro.core.detector import MIN_SAMPLES
 from repro.core.errors import ConfigurationError
 
 
@@ -126,19 +133,6 @@ class ProtocolConfig:
     deferred_interval: float = 2e-3
     #: Re-issue a RET if a detected gap persists this long.
     ret_timeout: float = 4e-3
-    #: Adaptive RET backoff: each fruitless re-request doubles the effective
-    #: retry timeout up to ``ret_timeout * ret_backoff_cap``.  A crashed
-    #: source never answers, so without backoff every survivor re-requests
-    #: at a fixed cadence forever (a periodic REQ storm).  ``1`` disables
-    #: backoff (the paper's fixed cadence).
-    ret_backoff_cap: int = 8
-    #: Deterministic jitter fraction added to backed-off retries (spreads
-    #: survivors' re-requests so they do not synchronize).  Applied only
-    #: from the second retry on; ``0`` disables.
-    ret_backoff_jitter: float = 0.25
-    #: A source ignores repeated RETs for the same PDU within this window
-    #: (NAK-implosion suppression; several receivers may miss the same PDU).
-    ret_suppression_interval: float = 1e-3
     #: How often the host drives the engine's housekeeping tick.
     tick_interval: float = 1e-3
     #: Retransmission scheme ablation (§5 claim C4).
@@ -177,27 +171,8 @@ class ProtocolConfig:
     #: keepalive cadence of — the fixed bound) and is an extension, so
     #: strict paper mode rejects it.
     failure_detector: FailureDetectorMode = FailureDetectorMode.FIXED
-    #: Suspect a peer once its phi score reaches this (phi == 8 means the
-    #: silence had a one-in-10^8 chance under recent link behaviour).
-    phi_suspect: float = 8.0
-    #: Let a suspicion ripen into an eviction proposal only past this
-    #: score; the band between the thresholds absorbs gray failures that
-    #: deserve exclusion but not a view change.
-    phi_evict: float = 12.0
     #: Sliding-window length (inter-arrival samples kept per peer).
     detector_window: int = 32
-    #: Samples required before phi scoring engages; an unprimed peer is
-    #: judged by the fixed ``suspect_timeout`` fallback.
-    detector_min_samples: int = 4
-    #: Deviation floor as a fraction of the window mean: at steady state
-    #: the variance collapses and any hiccup would score astronomically;
-    #: the floor keeps one lost heartbeat (≈ 2× mean silence) under
-    #: ``phi_suspect``.
-    detector_std_floor: float = 0.3
-    #: Window samples are clamped to this multiple of the current mean so
-    #: a dropped heartbeat cannot poison the learned history (``0``
-    #: disables clamping).
-    detector_sample_clamp: float = 3.0
     #: After an unsuspect, block re-suspecting the same peer for this
     #: long — the hysteresis that stops jittery links from flapping
     #: through repeated suspect/unsuspect cycles into eviction churn.
@@ -211,10 +186,6 @@ class ProtocolConfig:
     #: paper's wire, one frame per data PDU, and the conformance baseline;
     #: the real-socket runtimes default to 8 (``DEFAULT_RUNTIME_CONFIG``).
     batch_max_pdus: int = 1
-    #: Also cut a frame once its modelled wire size reaches this many
-    #: bytes (``0`` disables the byte cap).  Only meaningful with
-    #: ``batch_max_pdus > 1``.
-    batch_max_bytes: int = 0
     #: Anti-entropy repair layer (docs/PROTOCOL.md §15): every this many
     #: seconds, send a compact digest (delivered + receipt frontiers + view
     #: id) to one deterministically-rotated live peer, who answers with a
@@ -223,21 +194,11 @@ class ProtocolConfig:
     #: recovery then relies on the paper's RET machinery and, for rejoin,
     #: the full state snapshot.
     anti_entropy_interval: "float | None" = None
-    #: Maximum ``(source, [from, to))`` ranges one RepairPull PDU may carry.
-    #: Larger deficits are repaired across several digest rounds.
-    pull_max_ranges: int = 16
-    #: A gap escalates from RET to a repair pull after this many fruitless
-    #: timer-driven RET retries (tier-2 escalation).  Only meaningful with
-    #: ``anti_entropy_interval`` set.
-    pull_after_retries: int = 2
     #: When a digest/pull exchange shows a peer missing at least this many
     #: PDUs, the serving side treats the answer as a *delta sync*: a bounded
     #: partial state transfer replacing the full-snapshot path for healed
     #: partitions and stale stragglers (tier-3 escalation).
     delta_sync_threshold: int = 24
-    #: Upper bound on the data PDUs one delta-sync burst may re-send; a
-    #: larger deficit drains across successive digest rounds.
-    delta_sync_max_pdus: int = 128
     #: Dissemination topology (docs/PROTOCOL.md §16): how data frames reach
     #: the other entities.  ``FLOOD`` (default) broadcasts every frame;
     #: ``RING`` circulates frames hop-by-hop around the live members with
@@ -260,10 +221,6 @@ class ProtocolConfig:
     #: flat single-cluster layout.  An extension, so strict paper mode
     #: rejects it.
     group_size: "int | None" = None
-    #: Bridge retransmit cadence: an inter-group forward unacknowledged by
-    #: a peer group for this long is re-sent (retransmit-until-acked is the
-    #: backbone's recovery path across losses and partitions).
-    intergroup_ret_timeout: float = 4e-3
     #: How often a group's bridge layer re-evaluates which member fronts
     #: the group (failover off a crashed bridge).  ``None`` (default)
     #: follows ``suspect_timeout`` when set, else ``tick_interval``.
@@ -278,15 +235,14 @@ class ProtocolConfig:
             raise ConfigurationError(
                 f"units_per_pdu must be >= 1, got {self.units_per_pdu}"
             )
-        for name in (
-            "deferred_interval",
-            "ret_timeout",
-            "ret_suppression_interval",
-            "tick_interval",
-        ):
+        for name in ("deferred_interval", "ret_timeout"):
             value = getattr(self, name)
             if value < 0:
                 raise ConfigurationError(f"{name} must be non-negative, got {value}")
+        if self.tick_interval <= 0:
+            raise ConfigurationError(
+                f"tick_interval must be positive, got {self.tick_interval}"
+            )
         if self.suspect_timeout is not None and self.suspect_timeout <= 0:
             raise ConfigurationError(
                 f"suspect_timeout must be positive or None, got {self.suspect_timeout}"
@@ -300,22 +256,10 @@ class ProtocolConfig:
             raise ConfigurationError(
                 f"batch_max_pdus must be >= 1, got {self.batch_max_pdus}"
             )
-        if self.batch_max_bytes < 0:
-            raise ConfigurationError(
-                f"batch_max_bytes must be non-negative, got {self.batch_max_bytes}"
-            )
         if self.batching_enabled and self.strict_paper_mode:
             raise ConfigurationError(
                 "batching coalesces the PACK vector into an out-of-band frame "
                 "header, which strict paper mode forbids; choose one"
-            )
-        if self.ret_backoff_cap < 1:
-            raise ConfigurationError(
-                f"ret_backoff_cap must be >= 1, got {self.ret_backoff_cap}"
-            )
-        if not 0.0 <= self.ret_backoff_jitter <= 1.0:
-            raise ConfigurationError(
-                f"ret_backoff_jitter must be in [0, 1], got {self.ret_backoff_jitter}"
             )
         if self.evict_timeout is not None:
             if self.evict_timeout <= 0:
@@ -343,29 +287,10 @@ class ProtocolConfig:
                     "the phi detector bootstraps from (and keeps the "
                     "keepalive cadence of) suspect_timeout; set it"
                 )
-        if not 0.0 < self.phi_suspect <= self.phi_evict:
+        if self.detector_window < MIN_SAMPLES:
             raise ConfigurationError(
-                f"need 0 < phi_suspect <= phi_evict, got "
-                f"{self.phi_suspect} / {self.phi_evict}"
-            )
-        if self.detector_window < 2:
-            raise ConfigurationError(
-                f"detector_window must be >= 2, got {self.detector_window}"
-            )
-        if not 2 <= self.detector_min_samples <= self.detector_window:
-            raise ConfigurationError(
-                "detector_min_samples must be between 2 and "
-                f"detector_window, got {self.detector_min_samples}"
-            )
-        if self.detector_std_floor <= 0:
-            raise ConfigurationError(
-                f"detector_std_floor must be positive, got "
-                f"{self.detector_std_floor}"
-            )
-        if self.detector_sample_clamp != 0 and self.detector_sample_clamp < 1:
-            raise ConfigurationError(
-                "detector_sample_clamp must be 0 (off) or >= 1, got "
-                f"{self.detector_sample_clamp}"
+                f"detector_window must hold the phi detector's {MIN_SAMPLES} "
+                f"priming samples, got {self.detector_window}"
             )
         if self.resuspect_cooldown < 0:
             raise ConfigurationError(
@@ -383,11 +308,10 @@ class ProtocolConfig:
                     "anti-entropy digests are out-of-band control frames, "
                     "which strict paper mode forbids; choose one"
                 )
-        for name in ("pull_max_ranges", "pull_after_retries",
-                     "delta_sync_threshold", "delta_sync_max_pdus"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ConfigurationError(f"{name} must be >= 1, got {value}")
+        if self.delta_sync_threshold < 1:
+            raise ConfigurationError(
+                f"delta_sync_threshold must be >= 1, got {self.delta_sync_threshold}"
+            )
         if not isinstance(self.dissemination, DisseminationMode):
             raise ConfigurationError(
                 f"dissemination must be a DisseminationMode, got "
@@ -412,11 +336,6 @@ class ProtocolConfig:
                     "entities and out-of-band inter-group frames, which "
                     "strict paper mode forbids; choose one"
                 )
-        if self.intergroup_ret_timeout <= 0:
-            raise ConfigurationError(
-                f"intergroup_ret_timeout must be positive, got "
-                f"{self.intergroup_ret_timeout}"
-            )
         if self.bridge_tick_interval is not None and self.bridge_tick_interval <= 0:
             raise ConfigurationError(
                 f"bridge_tick_interval must be positive or None, got "
@@ -460,11 +379,6 @@ class ProtocolConfig:
     def hierarchy_enabled(self) -> bool:
         """True when membership is sharded into bounded bridge-linked groups."""
         return self.group_size is not None
-
-    @property
-    def relaying_enabled(self) -> bool:
-        """True when data frames travel a non-flood dissemination topology."""
-        return self.dissemination is not DisseminationMode.FLOOD
 
     @property
     def paper_faithful(self) -> bool:

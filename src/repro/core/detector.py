@@ -57,12 +57,17 @@ import math
 from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional
 
-__all__ = ["PeerState", "PhiAccrualDetector", "PHI_CAP"]
+__all__ = ["MIN_SAMPLES", "PeerState", "PhiAccrualDetector", "PHI_CAP"]
 
 #: Upper bound on any reported phi score.  ``erfc`` underflows to exactly
 #: 0.0 around z ≈ 27 (phi ≈ 160); silences that far out are "certain"
 #: failures and the cap keeps the score finite, comparable and plottable.
 PHI_CAP = 64.0
+
+#: Samples required before phi scoring engages; an unprimed peer is judged
+#: by the fixed ``bootstrap_timeout`` fallback.  ``detector_window`` must
+#: hold at least this many.
+MIN_SAMPLES = 4
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -103,6 +108,23 @@ class PhiAccrualDetector:
     attributes (the engine passes its :class:`~repro.core.entity.
     EntityCounters`); the detector increments them in place so they flow
     through the unified counters schema of every runtime unchanged.
+
+    The engine passes only ``window``, ``resuspect_cooldown`` and
+    ``bootstrap_timeout``; the other tunables keep their defaults:
+
+    * ``phi_suspect`` — suspect a peer once its phi reaches this (phi == 8
+      means the silence had a one-in-10^8 chance under recent link
+      behaviour);
+    * ``phi_evict`` — let a suspicion ripen into an eviction proposal only
+      past this score; the band between the thresholds absorbs gray
+      failures that deserve exclusion but not a view change;
+    * ``std_floor`` — deviation floor as a fraction of the window mean: at
+      steady state the variance collapses and any hiccup would score
+      astronomically; the floor keeps one lost heartbeat (≈ 2× mean
+      silence) under ``phi_suspect``;
+    * ``sample_clamp`` — samples are clamped to this multiple of the
+      current mean so a dropped heartbeat cannot poison the learned
+      history (``0`` disables clamping).
     """
 
     def __init__(
@@ -110,10 +132,10 @@ class PhiAccrualDetector:
         n: int,
         index: int,
         *,
-        phi_suspect: float,
-        phi_evict: float,
+        phi_suspect: float = 8.0,
+        phi_evict: float = 12.0,
         window: int = 32,
-        min_samples: int = 4,
+        min_samples: int = MIN_SAMPLES,
         std_floor: float = 0.3,
         sample_clamp: float = 3.0,
         resuspect_cooldown: float = 0.0,

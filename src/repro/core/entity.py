@@ -66,8 +66,14 @@ from repro.core.pdu import (
     StatePdu,
     ViewChangePdu,
 )
-from repro.core.repair import RepairManager
-from repro.core.retransmit import GapTracker, RetransmitSuppressor
+from repro.core.repair import DELTA_SYNC_MAX_PDUS, RepairManager
+from repro.core.retransmit import (
+    RET_BACKOFF_CAP,
+    RET_BACKOFF_JITTER,
+    RET_SUPPRESSION_INTERVAL,
+    GapTracker,
+    RetransmitSuppressor,
+)
 from repro.core.state import KnowledgeState, MergeResult
 from repro.net.dissemination import make_strategy
 from repro.sim.trace import TraceLog
@@ -150,7 +156,7 @@ class EntityCounters:
     #: Data PDUs that travelled inside a batch frame.
     batched_pdus: int = 0
     #: Batch frames cut short because the pump's output reached
-    #: ``batch_max_pdus``/``_bytes`` (the rest went out in a further frame).
+    #: ``batch_max_pdus`` (the rest went out in a further frame).
     batch_flush_full: int = 0
     #: Batch frames received.
     recv_batches: int = 0
@@ -290,8 +296,8 @@ class COEntity:
         self.prl: CausalLog = CausalLog()
         self.gaps = GapTracker(
             n,
-            backoff_cap=config.ret_backoff_cap,
-            backoff_jitter=config.ret_backoff_jitter,
+            backoff_cap=RET_BACKOFF_CAP,
+            backoff_jitter=RET_BACKOFF_JITTER,
             owner=index,
         )
         #: Anti-entropy repair bookkeeping (docs/PROTOCOL.md §15).  Inert
@@ -317,7 +323,7 @@ class COEntity:
         self._dep_waiters: List[Set[int]] = [set() for _ in range(n)]
         #: _suppressors[j]: re-serve rate limit for E_j's PDUs (SL or store).
         self._suppressors = [
-            RetransmitSuppressor(config.ret_suppression_interval) for _ in range(n)
+            RetransmitSuppressor(RET_SUPPRESSION_INTERVAL) for _ in range(n)
         ]
         #: Out-of-order arrivals per source (selective retransmission only).
         self._stash: List[Dict[int, DataPdu]] = [{} for _ in range(n)]
@@ -381,7 +387,6 @@ class COEntity:
         #: own data PDUs built but not yet on the wire.  Empty whenever
         #: ``submit`` / ``on_pdu`` / ``on_tick`` returns.
         self._batch: List[DataPdu] = []
-        self._batch_bytes = 0
         #: Sources heard from since this entity's last transmission.
         self._heard_from: Set[int] = set()
         #: ``members - {self} - suspected``, the set the deferred rule waits
@@ -416,12 +421,7 @@ class COEntity:
             self.detector = PhiAccrualDetector(
                 n,
                 index,
-                phi_suspect=config.phi_suspect,
-                phi_evict=config.phi_evict,
                 window=config.detector_window,
-                min_samples=config.detector_min_samples,
-                std_floor=config.detector_std_floor,
-                sample_clamp=config.detector_sample_clamp,
                 resuspect_cooldown=config.resuspect_cooldown,
                 bootstrap_timeout=config.suspect_timeout,
                 start_time=self._now,
@@ -768,12 +768,7 @@ class COEntity:
         # immediately, keeping REQ/AL uniform across the cluster (its ACK
         # vector — its causal coordinates — was stamped above and is final).
         self._accept(pdu)
-        cfg = self.config
-        if cfg.batch_max_bytes:
-            self._batch_bytes += pdu.wire_size()
-        if len(self._batch) >= cfg.batch_max_pdus or (
-            cfg.batch_max_bytes and self._batch_bytes >= cfg.batch_max_bytes
-        ):
+        if len(self._batch) >= self.config.batch_max_pdus:
             if len(self._batch) > 1:
                 self.counters.batch_flush_full += 1
             self._flush_batch()
@@ -790,7 +785,6 @@ class COEntity:
         batch = self._batch
         if not batch:
             return
-        self._batch_bytes = 0
         self._heard_from.clear()
         self._last_send_time = self._now
         if len(batch) == 1:
@@ -1389,14 +1383,14 @@ class COEntity:
 
         Own PDUs come from the sending log (BUF re-stamped, SEQ/ACK
         untouched — they are the causal coordinates); other sources' from
-        the peer store, verbatim.  Bounded to ``delta_sync_max_pdus`` per
+        the peer store, verbatim.  Bounded to ``DELTA_SYNC_MAX_PDUS`` per
         answer, suppressor-gated like RET answers so several stragglers
         pulling the same ranges cannot multiply the rebroadcasts.
         """
         served = 0
         served_bytes = 0
         ranges_served = 0
-        cap = self.config.delta_sync_max_pdus
+        cap = DELTA_SYNC_MAX_PDUS
         for (lsrc, lo, hi) in p.ranges:
             if served >= cap:
                 break
@@ -1460,7 +1454,7 @@ class COEntity:
         """
         sent = 0
         sent_bytes = 0
-        cap = self.config.delta_sync_max_pdus
+        cap = DELTA_SYNC_MAX_PDUS
         for j in range(self.n):
             if sent >= cap:
                 break

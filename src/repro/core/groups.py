@@ -80,6 +80,10 @@ __all__ = [
     "partition_members",
 ]
 
+#: Bridge retransmit cadence: an inter-group forward unacknowledged by a
+#: peer group for this long is re-sent (retransmit-until-acked is the
+#: backbone's recovery path across losses and partitions).
+INTERGROUP_RET_TIMEOUT = 4e-3
 #: Retransmit at most this many backlog frames per peer per timer firing,
 #: so a long-partitioned peer is caught up in bounded bursts.
 RET_BURST = 64
@@ -385,7 +389,7 @@ class GroupBridge:
         if self._ret_handle is not None:
             return
         self._ret_handle = self.sim.schedule(
-            self.config.intergroup_ret_timeout, self._on_ret
+            INTERGROUP_RET_TIMEOUT, self._on_ret
         )
 
     def _on_ret(self) -> None:
@@ -648,7 +652,7 @@ class HierarchicalCluster:
                 cfg.deferred_interval,
                 cfg.tick_interval,
                 cfg.ret_timeout,
-                cfg.intergroup_ret_timeout,
+                INTERGROUP_RET_TIMEOUT,
             )
             * 2
             + 2 * max_delay
@@ -681,7 +685,6 @@ def build_hierarchical_cluster(
     loss: Optional[LossModel] = None,
     backbone_delay: float = 1e-3,
     backbone_loss: Optional[LossModel] = None,
-    gauge_every: int = 8,
 ):
     """Assemble a sharded cluster from ``config.group_size``-bounded groups.
 
@@ -713,7 +716,6 @@ def build_hierarchical_cluster(
             rngs=rngs,
             buffer_capacity=buffer_capacity,
             cpu=cpu,
-            gauge_every=gauge_every,
             roster=tuple(range(n)),
         )
     groups: List[Cluster] = []
@@ -737,7 +739,6 @@ def build_hierarchical_cluster(
                 rngs=rngs,
                 buffer_capacity=buffer_capacity,
                 cpu=cpu,
-                gauge_every=gauge_every,
                 roster=members,
             )
         )

@@ -14,7 +14,7 @@ runs in three tiers:
    fruitless escalate to pulls too.
 3. **Delta sync** — a serving side seeing a deficit of at least
    ``delta_sync_threshold`` PDUs answers with a bounded partial state
-   transfer (up to ``delta_sync_max_pdus`` resident PDUs re-sent), the
+   transfer (up to ``DELTA_SYNC_MAX_PDUS`` resident PDUs re-sent), the
    replacement for wholesale snapshots after a partition heals.
 
 This module holds the *decisions* — when a digest is due, which peer gets
@@ -36,6 +36,16 @@ from repro.core.config import ProtocolConfig
 
 #: One pull request entry: (source, from_seq, to_seq) with to exclusive.
 Range = Tuple[int, int, int]
+
+#: Maximum ``(source, [from, to))`` ranges one RepairPull PDU may carry.
+#: Larger deficits are repaired across several digest rounds.
+PULL_MAX_RANGES = 16
+#: A gap escalates from RET to a repair pull after this many fruitless
+#: timer-driven RET retries (tier-2 escalation).
+PULL_AFTER_RETRIES = 2
+#: Upper bound on the data PDUs one delta-sync burst (or one pull answer)
+#: may re-send; a larger deficit drains across successive digest rounds.
+DELTA_SYNC_MAX_PDUS = 128
 
 
 class RepairManager:
@@ -108,7 +118,7 @@ class RepairManager:
 
         For every source ``j`` (except the owner and ``skip``) where the
         remote receipt frontier exceeds the local one, request
-        ``[local_req[j], remote_ack[j])``.  Clamped to ``pull_max_ranges``
+        ``[local_req[j], remote_ack[j])``.  Clamped to ``PULL_MAX_RANGES``
         entries, largest deficits first — the bounded pull repairs the
         worst holes now and leaves the tail to the next digest round.
         """
@@ -122,12 +132,11 @@ class RepairManager:
             if hi > lo:
                 deficits.append((j, lo, hi))
         deficits.sort(key=lambda r: (-(r[2] - r[1]), r[0]))
-        limit = self.config.pull_max_ranges
-        return sorted(deficits[:limit])
+        return sorted(deficits[:PULL_MAX_RANGES])
 
     def should_escalate(self, retries: int) -> bool:
         """Has a gap's RET retry count earned a tier-2 pull escalation?"""
-        return self.enabled and retries > self.config.pull_after_retries
+        return self.enabled and retries > PULL_AFTER_RETRIES
 
     # ------------------------------------------------------------------
     # Tier 3: delta sync

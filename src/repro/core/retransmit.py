@@ -22,6 +22,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+#: Adaptive RET backoff: each fruitless re-request doubles the effective
+#: retry timeout up to ``ret_timeout * RET_BACKOFF_CAP``.  A crashed source
+#: never answers, so without backoff every survivor re-requests at a fixed
+#: cadence forever (a periodic REQ storm).
+RET_BACKOFF_CAP = 8
+#: Deterministic jitter fraction added to backed-off retries (spreads
+#: survivors' re-requests so they do not synchronize).  Applied only from
+#: the second retry on.
+RET_BACKOFF_JITTER = 0.25
+#: A source ignores repeated RETs for the same PDU within this window
+#: (NAK-implosion suppression; several receivers may miss the same PDU).
+RET_SUPPRESSION_INTERVAL = 1e-3
+
 
 @dataclass
 class Gap:
@@ -46,7 +59,7 @@ class GapTracker:
     second retry on), so survivors polling a *crashed* source decay to a
     capped cadence instead of sustaining a fixed-rate REQ storm.  The
     defaults (``backoff_cap=1``) keep the paper's fixed cadence; the engine
-    opts in via :class:`~repro.core.config.ProtocolConfig`.
+    passes :data:`RET_BACKOFF_CAP` and :data:`RET_BACKOFF_JITTER`.
     """
 
     def __init__(

@@ -94,10 +94,6 @@ class ExperimentConfig:
     cpu_per_entity: float = 8e-6
     seed: int = 0
     max_time: float = 60.0
-    #: Run to quiescence (True) or for a fixed simulated duration (False).
-    run_to_quiescence: bool = True
-    fixed_duration: float = 0.2
-    verify: bool = True
 
     def __post_init__(self) -> None:
         if self.protocol not in PROTOCOLS:
@@ -116,10 +112,6 @@ class ExperimentConfig:
                 f"{sorted(m.value for m in DisseminationMode)}"
             )
         if self.group_size is not None:
-            if self.group_size < 2:
-                raise ConfigurationError(
-                    f"group_size must be >= 2, got {self.group_size}"
-                )
             if self.protocol != "co":
                 raise ConfigurationError(
                     "hierarchical sharding runs the CO engine inside every "
@@ -131,6 +123,9 @@ class ExperimentConfig:
                     "hierarchical subgroups use the flood medium; combine "
                     "group_size only with dissemination='flood'"
                 )
+        # Every ProtocolConfig rule fires here, not after the cluster is
+        # built.
+        _protocol_config(self)
 
     def with_(self, **changes: Any) -> "ExperimentConfig":
         return dataclasses.replace(self, **changes)
@@ -157,7 +152,7 @@ class ExperimentResult:
     entity_counters: Dict[str, int]
     buffer_overruns: int
     resident_high_water: int
-    report: Optional[RunReport]
+    report: RunReport
     cluster: Cluster = field(repr=False, default=None)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -181,7 +176,7 @@ class ExperimentResult:
             "entity_counters": dict(self.entity_counters),
             "buffer_overruns": self.buffer_overruns,
             "resident_high_water": self.resident_high_water,
-            "verification": None if self.report is None else self.report.summary(),
+            "verification": self.report.summary(),
         }
 
     @property
@@ -291,8 +286,8 @@ def run_experiment(
     """Execute one experiment and collect its metrics.
 
     Baselines that cannot quiesce under the configured environment (CBCAST
-    with loss, strict paper mode on finite workloads) fall back to the fixed
-    duration and report ``quiesced=False`` instead of raising.
+    with loss, strict paper mode on finite workloads) run to ``max_time``
+    and report ``quiesced=False`` instead of raising.
 
     Pass a ``trace`` (e.g. a bounded
     :class:`~repro.sim.trace.FlightRecorder`) to record into a
@@ -333,14 +328,10 @@ def run_experiment(
     workload.install(cluster, rngs)
 
     quiesced = True
-    if config.run_to_quiescence:
-        try:
-            cluster.run_until_quiescent(max_time=config.max_time)
-        except TimeoutError:
-            quiesced = False
-    else:
-        cluster.run_for(config.fixed_duration)
-        quiesced = cluster._quiet()
+    try:
+        cluster.run_until_quiescent(max_time=config.max_time)
+    except TimeoutError:
+        quiesced = False
 
     # A multi-group cluster records one trace per subgroup (plus the
     # backbone's own log); lifecycle metrics concatenate the per-group
@@ -368,17 +359,13 @@ def run_experiment(
                 counters[key] = counters.get(key, 0) + value
         resident_high = max(resident_high, getattr(engine, "resident_high_water", 0))
 
-    report = None
-    if config.verify:
-        expect_all = quiesced and config.protocol in (
-            "co", "co-gbn", "co-strict", "co-immediate", "co-preack",
-        )
-        if flat:
-            report = verify_run(
-                cluster.trace, config.n, expect_all_delivered=expect_all
-            )
-        else:
-            report = _verify_hierarchical(cluster, expect_all)
+    expect_all = quiesced and config.protocol in (
+        "co", "co-gbn", "co-strict", "co-immediate", "co-preack",
+    )
+    if flat:
+        report = verify_run(cluster.trace, config.n, expect_all_delivered=expect_all)
+    else:
+        report = _verify_hierarchical(cluster, expect_all)
 
     hosts = cluster.hosts
     tco = sum(h.mean_service_time for h in hosts) / len(hosts)

@@ -115,8 +115,6 @@ def run_trial(
     except Exception as exc:  # soak must report, not die
         return TrialOutcome(index, config, False, False, f"exception: {exc!r}")
     report = result.report
-    if report is None:
-        return TrialOutcome(index, config, False, result.quiesced, "no report")
     expect_complete = result.quiesced and config.protocol != "to"
     if not report.ok:
         return TrialOutcome(

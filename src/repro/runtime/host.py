@@ -18,6 +18,7 @@ import asyncio
 import time
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
+from repro.core.cluster import GAUGE_EVERY
 from repro.core.config import ProtocolConfig
 from repro.core.entity import COEntity, DeliveredMessage
 from repro.sim.trace import TraceLog
@@ -35,9 +36,6 @@ DEFAULT_RUNTIME_CONFIG = ProtocolConfig(
     tick_interval=2e-3, deferred_interval=4e-3, ret_timeout=10e-3,
     batch_max_pdus=8,
 )
-
-#: Ticks between two ``gauge`` trace records.
-GAUGE_EVERY = 8
 
 
 def lazy_loop_clock() -> Callable[[], float]:

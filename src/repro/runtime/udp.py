@@ -229,10 +229,8 @@ class UdpTransport:
         """Encode and send one PDU to a single peer (probe answers,
         docs/PROTOCOL.md §7; dissemination topologies, §16).
 
-        Relay wrappers are never split — the engine's ``batch_max_bytes``
-        is what keeps a relayed batch under the MTU budget; an oversized
-        datagram is the sender's configuration error, exactly as for an
-        oversized application payload.
+        Relay wrappers are never split, so a relayed batch may exceed
+        ``max_frame_bytes``; only :meth:`broadcast` splits a batch frame.
         """
         if dst == src:
             raise ValueError("unicast to self is not modelled")
@@ -368,19 +366,17 @@ async def udp_cluster(
     config: Optional[ProtocolConfig] = None,
     loss_rate: float = 0.0,
     seed: int = 0,
-    shared_trace: bool = True,
     inbox_capacity_units: int = 4096,
     max_frame_bytes: int = 1400,
 ) -> List[UdpMember]:
     """Assemble and start a loopback UDP cluster.
 
-    With ``shared_trace`` all members log into one bounded
+    All members log into one bounded
     :class:`~repro.sim.trace.FlightRecorder`, so the happened-before oracle
-    can verify the run as long as nothing was evicted from it (only
-    meaningful when all members live in one process, as in the tests).
+    can verify the run as long as nothing was evicted from it.
     """
     peers = [f"127.0.0.1:{base_port + i}" for i in range(n)]
-    trace = FlightRecorder() if shared_trace else None
+    trace = FlightRecorder()
     members = [
         UdpMember(i, peers, config=config, loss_rate=loss_rate, seed=seed,
                   trace=trace,

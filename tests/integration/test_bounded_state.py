@@ -64,7 +64,7 @@ def test_snapshot_size_does_not_grow_with_deliveries(monkeypatch):
 #: suppressor fills during the run.
 REPAIR = ProtocolConfig(
     suspect_timeout=0.05, anti_entropy_interval=0.01,
-    delta_sync_threshold=6, pull_after_retries=1,
+    delta_sync_threshold=6,
 )
 
 

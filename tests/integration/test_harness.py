@@ -38,12 +38,12 @@ class TestRunner:
         with pytest.raises(ConfigurationError):
             ExperimentConfig(workload="nope")
 
-    def test_fixed_duration_mode(self):
-        result = run_experiment(ExperimentConfig(
-            n=3, messages_per_entity=5, run_to_quiescence=False,
-            fixed_duration=0.05, seed=2,
-        ))
-        assert result.simulated_time == pytest.approx(0.05)
+    def test_protocol_rules_fire_at_construction(self):
+        # Both used to construct and fail (or not) only inside the run.
+        with pytest.raises(ConfigurationError, match="window"):
+            ExperimentConfig(window=0)
+        with pytest.raises(ConfigurationError, match="anti-entropy"):
+            ExperimentConfig(dissemination="gossip")
 
     def test_with_returns_new_config(self):
         base = ExperimentConfig()

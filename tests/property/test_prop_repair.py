@@ -124,7 +124,6 @@ def _run_workload(seed, n, per_entity, loss, repair):
         suspect_timeout=0.05,
         anti_entropy_interval=0.01 if repair else None,
         delta_sync_threshold=6,
-        pull_after_retries=1,
     )
     cluster = build_cluster(
         n, config=config, loss=loss, rngs=RngRegistry(seed),

@@ -80,10 +80,6 @@ class TestBatchConfig:
         with pytest.raises(ConfigurationError):
             ProtocolConfig(batch_max_pdus=0)
 
-    def test_rejects_negative_byte_cap(self):
-        with pytest.raises(ConfigurationError):
-            ProtocolConfig(batch_max_bytes=-1)
-
     def test_runtimes_default_to_one_window_per_frame(self):
         # A pump cannot release more than W, so cap = W never cuts a frame.
         assert DEFAULT_RUNTIME_CONFIG.batch_max_pdus == ProtocolConfig().window == 8
@@ -221,14 +217,6 @@ class TestSenderAccumulation:
         assert [r.get("seqs") for r in drv.trace.select("batch")] == [
             [9, 10, 11, 12], [13, 14, 15, 16],
         ]
-
-    def test_byte_cap_flushes_early(self):
-        drv = make_driver(cap=8, batch_max_bytes=200)
-        for k in range(WINDOW + 4):
-            drv.submit("x" * 80, size=80)
-        del drv.sent[:]
-        confirm(drv, 5)
-        assert shapes(drv.sent) == [(9, 10), (11, 12)]
 
     def test_lone_submit_emits_the_bare_data_pdu_of_the_paper_wire(self):
         """An open window: the pump releases one PDU, which goes out at once

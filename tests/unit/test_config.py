@@ -1,5 +1,8 @@
 """Unit tests for protocol configuration."""
 
+import dataclasses
+import pathlib
+
 import pytest
 
 from repro.core.config import (
@@ -54,6 +57,22 @@ def test_negative_times_rejected():
         ProtocolConfig(ret_timeout=-0.1)
     with pytest.raises(ConfigurationError):
         ProtocolConfig(tick_interval=-0.1)
+
+
+def test_zero_tick_interval_rejected():
+    # No host can drive a zero-period tick: the simulator's timer refuses
+    # it and the UDP host would re-arm on every loop iteration.
+    with pytest.raises(ConfigurationError, match="tick_interval"):
+        ProtocolConfig(tick_interval=0.0)
+
+
+def test_knob_table_lists_every_field():
+    """docs/PROTOCOL.md §19 tables every field, in declaration order."""
+    doc = pathlib.Path(__file__).parents[2] / "docs" / "PROTOCOL.md"
+    section = doc.read_text().split("## 19. Configuration")[1]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    names = [row.split("|")[1].strip().strip("`") for row in rows]
+    assert names == [f.name for f in dataclasses.fields(ProtocolConfig)]
 
 
 def test_frozen():

@@ -37,7 +37,7 @@ def test_phi_mode_builds_detector():
     drv = make_driver()
     detector = drv.engine.detector
     assert detector is not None
-    assert detector.phi_suspect == PHI_CFG.phi_suspect
+    assert detector.window == PHI_CFG.detector_window
     assert detector.bootstrap_timeout == PHI_CFG.suspect_timeout
     # The detector mutates the engine's own counters object in place.
     assert detector.counters is drv.engine.counters

@@ -3,6 +3,7 @@ action — the two cases of Figure 6."""
 
 from repro.core.config import ProtocolConfig, RetransmissionScheme
 from repro.core.pdu import RetPdu
+from repro.core.retransmit import RET_SUPPRESSION_INTERVAL
 from tests.conftest import EngineDriver, make_pdu
 
 
@@ -128,7 +129,7 @@ def test_ret_suppression_window(driver):
     assert len(driver.data_sent) == before + 1
     assert driver.engine.counters.retransmissions_suppressed == 1
     # After the suppression interval a repeat is honoured again.
-    driver.tick(dt=driver.engine.config.ret_suppression_interval + 1e-9)
+    driver.tick(dt=RET_SUPPRESSION_INTERVAL + 1e-9)
     driver.receive(ret)
     assert len(driver.data_sent) == before + 2
 

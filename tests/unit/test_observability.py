@@ -26,7 +26,7 @@ from repro.workloads.generators import ContinuousWorkload
 
 
 def run_small_cluster(trace=None, n=3, messages=4):
-    cluster = build_cluster(n, trace=trace, rngs=RngRegistry(7), gauge_every=2)
+    cluster = build_cluster(n, trace=trace, rngs=RngRegistry(7))
     ContinuousWorkload(messages_per_entity=messages).install(
         cluster, RngRegistry(7),
     )
@@ -259,7 +259,7 @@ class TestInspect:
         recorder = FlightRecorder(capacity=50_000)
         config = ProtocolConfig(
             suspect_timeout=0.05, anti_entropy_interval=0.01,
-            delta_sync_threshold=6, pull_after_retries=1,
+            delta_sync_threshold=6,
         )
         cluster = build_cluster(
             4, config=config, trace=recorder,

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.cluster import build_cluster
 from repro.core.config import ConfigurationError, ProtocolConfig
-from repro.core.repair import RepairManager
+from repro.core.repair import PULL_AFTER_RETRIES, PULL_MAX_RANGES, RepairManager
 from repro.core.retransmit import GapTracker
 from repro.net.loss import LossModel
 from repro.ordering.checker import verify_run
@@ -40,10 +40,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field, bad", [
         ("anti_entropy_interval", 0.0),
         ("anti_entropy_interval", -1.0),
-        ("pull_max_ranges", 0),
-        ("pull_after_retries", 0),
         ("delta_sync_threshold", 0),
-        ("delta_sync_max_pdus", 0),
     ])
     def test_bad_repair_knobs_rejected(self, field, bad):
         with pytest.raises(ConfigurationError):
@@ -122,14 +119,19 @@ class TestRangePlanning:
         assert repair.plan_ranges([1, 1, 1, 1], [1, 9, 1, 1], skip=(1,)) == []
 
     def test_clamped_to_largest_deficits(self):
-        repair = _manager(pull_max_ranges=1)
-        ranges = repair.plan_ranges([1, 1, 1, 1], [1, 3, 9, 2])
-        assert ranges == [(2, 1, 9)]  # the 8-PDU hole wins over the 2 and 1
+        # One range too many: every peer source is 2 PDUs behind except
+        # source 9, whose 1-PDU hole waits for the next digest round.
+        n = PULL_MAX_RANGES + 2
+        repair = RepairManager(0, n, ProtocolConfig(anti_entropy_interval=0.01))
+        remote = [3] * n
+        remote[9] = 2
+        ranges = repair.plan_ranges([1] * n, remote)
+        assert ranges == [(j, 1, 3) for j in range(1, n) if j != 9]
 
     def test_escalation_threshold(self):
-        repair = _manager(pull_after_retries=2)
-        assert not repair.should_escalate(2)
-        assert repair.should_escalate(3)
+        repair = _manager()
+        assert not repair.should_escalate(PULL_AFTER_RETRIES)
+        assert repair.should_escalate(PULL_AFTER_RETRIES + 1)
         off = _manager(anti_entropy_interval=None)
         assert not off.should_escalate(100)
 
