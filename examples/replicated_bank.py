@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from repro.core.cluster import build_cluster
 from repro.extensions.total_order import TotalOrderEntity
 from repro.net.loss import BernoulliLoss
-from repro.ordering.events import delivery_logs
-from repro.ordering.properties import total_order_agreement
+from repro.ordering.properties import delivery_logs, total_order_agreement
 from repro.sim.rng import RngRegistry
 
 

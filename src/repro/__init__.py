@@ -11,8 +11,8 @@ The package provides:
   causality algebra, the two-phase pre-ack/ack engine);
 * :mod:`repro.sim` / :mod:`repro.net` — the discrete-event and network
   substrates;
-* :mod:`repro.ordering` — happened-before / vector-clock oracles and the
-  paper's log-property checkers, used to *verify* every run;
+* :mod:`repro.ordering` — the one-pass causal-order checker of the
+  paper's log properties, used to *verify* every run;
 * :mod:`repro.baselines` — ISIS CBCAST, the PO (FIFO) protocol, unordered
   broadcast and the go-back-n ablation;
 * :mod:`repro.workloads`, :mod:`repro.metrics`, :mod:`repro.harness` — the

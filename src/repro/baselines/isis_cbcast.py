@@ -153,7 +153,7 @@ class CbcastEntity:
             merged = self.vc.merge(VectorClock(m.vt))
         self.vc = merged
         self.delivered_count += 1
-        # "accept" feeds the happened-before oracle; for CBCAST acceptance
+        # "accept" feeds the causal-order checker; for CBCAST acceptance
         # and delivery coincide.
         self._trace.record(self.now, "accept", self.index, src=m.src, seq=m.seq, null=False)
         self._trace.record(self.now, "deliver", self.index, src=m.src, seq=m.seq)

@@ -2,7 +2,7 @@
 
 Each trial draws a cluster size, workload, loss environment and timing
 parameters from a seeded RNG, runs the full simulation, and verifies the CO
-service contract with the happened-before oracle.  A clean soak of hundreds
+service contract with the causal-order checker.  A clean soak of hundreds
 of trials is the repository's strongest evidence of correctness beyond the
 targeted tests (this is how the PACK dependency-gate bug documented in
 DESIGN.md was originally found).

@@ -2,10 +2,8 @@
 
 The comparison technology the paper positions itself *against*: ISIS CBCAST
 timestamps every message with a vector clock and orders deliveries by it.
-We implement them both as the substrate of the CBCAST baseline
-(:mod:`repro.baselines.isis_cbcast`) and as the independent oracle that
-validates Theorem 4.1's sequence-number shortcut
-(:mod:`repro.ordering.happened_before`).
+We implement them as the substrate of the CBCAST baseline
+(:mod:`repro.baselines.isis_cbcast`).
 
 A vector clock over ``n`` processes maps process index → event count.  For
 clocks ``a`` and ``b``:

@@ -20,7 +20,7 @@ describes.
 
 Wall-clock runs have no natural end, so members record into a bounded
 :class:`~repro.sim.trace.FlightRecorder` unless handed an explicit
-``TraceLog()`` (which the happened-before oracle needs for long runs).
+``TraceLog()`` (which the causal-order checker needs for long runs).
 
 Determinism note: asyncio scheduling is *not* deterministic, which is
 exactly why the evaluation lives on the simulator.  The runtime's tests

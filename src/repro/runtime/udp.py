@@ -322,7 +322,7 @@ class UdpMember:
         self.index = index
         # A wall-clock run has no natural end, so the default trace is the
         # bounded recorder; pass ``TraceLog()`` to keep every record (the
-        # happened-before oracle needs the complete log).
+        # causal-order checker needs the complete log).
         self.trace = trace if trace is not None else FlightRecorder()
         self.transport = UdpTransport(
             index, peers, loss_rate=loss_rate, seed=seed + index,
@@ -372,7 +372,7 @@ async def udp_cluster(
     """Assemble and start a loopback UDP cluster.
 
     All members log into one bounded
-    :class:`~repro.sim.trace.FlightRecorder`, so the happened-before oracle
+    :class:`~repro.sim.trace.FlightRecorder`, so the causal-order checker
     can verify the run as long as nothing was evicted from it.
     """
     peers = [f"127.0.0.1:{base_port + i}" for i in range(n)]

@@ -5,8 +5,8 @@ acceptance, a buffer overrun, a delivery — is appended to a
 :class:`TraceLog` as a :class:`TraceRecord`.  The trace serves three
 consumers:
 
-* the **verification oracles** in :mod:`repro.ordering`, which reconstruct
-  the happened-before relation and check the paper's log properties
+* the **causal-order checker** in :mod:`repro.ordering`, which stamps
+  every send with a vector clock and checks the paper's log properties
   (information-, local-order- and causality-preservation);
 * the **metrics collectors** in :mod:`repro.metrics`, which compute PDU
   lifecycle latencies (acceptance → pre-ack → ack → delivery);

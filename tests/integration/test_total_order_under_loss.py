@@ -11,8 +11,7 @@ import pytest
 
 from repro.harness import ExperimentConfig, run_experiment
 from repro.ordering.checker import verify_run
-from repro.ordering.events import delivery_logs
-from repro.ordering.properties import total_order_agreement
+from repro.ordering.properties import delivery_logs, total_order_agreement
 
 #: The exact environments the soak campaign failed on before the fix.
 REGRESSION_CONFIGS = [

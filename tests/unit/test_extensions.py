@@ -6,8 +6,7 @@ from repro.core.cluster import build_cluster
 from repro.core.pdu import DataPdu
 from repro.extensions.selective_groups import SelectiveBroadcastService
 from repro.extensions.total_order import TotalOrderEntity, total_order_key
-from repro.ordering.events import delivery_logs
-from repro.ordering.properties import total_order_agreement
+from repro.ordering.properties import delivery_logs, total_order_agreement
 
 
 def pdu(src, seq, ack):

@@ -1,7 +1,8 @@
-"""Unit tests for trace -> event extraction and the happened-before oracle."""
+"""Unit tests for the checker's send stamps and the relation read off them."""
 
-from repro.ordering.events import delivery_logs, extract_events, sent_messages
-from repro.ordering.happened_before import CausalOrderOracle
+from repro.analysis.causal_graph import causal_pairs
+from repro.ordering.checker import CausalPass
+from repro.ordering.properties import delivery_logs
 from repro.sim.trace import TraceLog
 
 
@@ -21,27 +22,34 @@ def relay_trace():
     return t
 
 
-def test_extract_events_kinds_and_order():
-    events = extract_events(relay_trace())
-    kinds = [(e.kind, e.entity, e.message) for e in events]
-    assert kinds[0] == ("send", 0, (0, 1))
-    assert ("deliver", 2, (1, 1)) in kinds
-    assert len(events) == 9
+def test_sends_are_stamped_in_send_order():
+    stamps = CausalPass(relay_trace(), 3).stamps
+    assert list(stamps.items()) == [((0, 1), (1, 0, 0)), ((1, 1), (1, 1, 0))]
 
 
 def test_retransmissions_are_one_send_event():
     t = TraceLog()
     t.record(0.0, "broadcast", 0, kind="DataPdu", seq=1)
     t.record(1.0, "broadcast", 0, kind="DataPdu", seq=1)   # retransmission
-    events = extract_events(t)
-    assert len([e for e in events if e.kind == "send"]) == 1
+    assert list(CausalPass(t, 1).stamps) == [(0, 1)]
+
+
+def test_self_accept_is_the_send_without_a_broadcast():
+    # Runtimes that record no broadcast (UDP, ring and gossip relays) and
+    # PDUs stamped in an open batch: the self-accept is the send.
+    t = TraceLog()
+    t.record(0.0, "accept", 0, src=0, seq=1, null=False)
+    t.record(0.1, "accept", 1, src=0, seq=1, null=False)
+    t.record(0.2, "accept", 1, src=1, seq=1, null=False)
+    t.record(0.3, "broadcast", 0, kind="BatchPdu", seqs=(1,))
+    assert CausalPass(t, 2).stamps == {(0, 1): (1, 0), (1, 1): (1, 1)}
 
 
 def test_control_broadcasts_excluded():
     t = TraceLog()
     t.record(0.0, "broadcast", 0, kind="RetPdu")
     t.record(0.0, "broadcast", 0, kind="HeartbeatPdu")
-    assert extract_events(t) == []
+    assert CausalPass(t, 1).stamps == {}
 
 
 def test_delivery_logs_per_entity():
@@ -50,46 +58,37 @@ def test_delivery_logs_per_entity():
     assert logs[2] == [(0, 1), (1, 1)]
 
 
-def test_sent_messages_excludes_null():
+def test_sent_excludes_null():
     t = TraceLog()
     t.record(0.0, "broadcast", 0, kind="DataPdu", seq=1)
     t.record(0.0, "accept", 0, src=0, seq=1, null=True)    # null confirmation
     t.record(0.1, "broadcast", 0, kind="DataPdu", seq=2)
     t.record(0.1, "accept", 0, src=0, seq=2, null=False)
-    assert sent_messages(t) == [(0, 2)]
-    assert sent_messages(t, data_only=False) == [(0, 1), (0, 2)]
+    check = CausalPass(t, 1)
+    assert check.sent() == [(0, 2)]
+    assert list(check.stamps) == [(0, 1), (0, 2)]
 
 
 class TestOracle:
+    """The happened-before relation read off the stamps."""
+
     def test_relay_precedence(self):
-        oracle = CausalOrderOracle(extract_events(relay_trace()), 3)
-        assert oracle.precedes((0, 1), (1, 1))
-        assert not oracle.precedes((1, 1), (0, 1))
+        pairs = list(causal_pairs(CausalPass(relay_trace(), 3).stamps))
+        assert ((0, 1), (1, 1)) in pairs
+        assert ((1, 1), (0, 1)) not in pairs
 
     def test_concurrent_sends(self):
         t = TraceLog()
         t.record(0.0, "broadcast", 0, kind="DataPdu", seq=1)
         t.record(0.0, "broadcast", 1, kind="DataPdu", seq=1)
-        oracle = CausalOrderOracle(extract_events(t), 2)
-        assert oracle.concurrent((0, 1), (1, 1))
+        assert list(causal_pairs(CausalPass(t, 2).stamps)) == []
 
     def test_same_source_order(self):
         t = TraceLog()
         t.record(0.0, "broadcast", 0, kind="DataPdu", seq=1)
         t.record(0.1, "broadcast", 0, kind="DataPdu", seq=2)
-        oracle = CausalOrderOracle(extract_events(t), 2)
-        assert oracle.precedes((0, 1), (0, 2))
-
-    def test_unknown_message_raises(self):
-        oracle = CausalOrderOracle([], 2)
-        import pytest
-        with pytest.raises(KeyError):
-            oracle.precedes((0, 1), (0, 2))
+        assert list(causal_pairs(CausalPass(t, 2).stamps)) == [((0, 1), (0, 2))]
 
     def test_causal_pairs(self):
-        oracle = CausalOrderOracle(extract_events(relay_trace()), 3)
-        assert ((0, 1), (1, 1)) in list(oracle.causal_pairs())
-
-    def test_stamp_none_for_unknown(self):
-        oracle = CausalOrderOracle([], 2)
-        assert oracle.stamp((9, 9)) is None
+        pairs = causal_pairs(CausalPass(relay_trace(), 3).stamps)
+        assert list(pairs) == [((0, 1), (1, 1))]
