@@ -3,7 +3,8 @@
 Tools a user points at a finished run's :class:`~repro.sim.trace.TraceLog`:
 
 * :mod:`repro.analysis.causal_graph` — the messages' causality DAG as a
-  ``networkx`` digraph, with structural statistics (depth, width, degree of
+  ``networkx`` digraph, built from the send stamps of the ordering
+  checker's pass, with structural statistics (depth, width, degree of
   concurrency) and a transitive reduction for visualisation;
 * :mod:`repro.analysis.timeline` — text timelines: one PDU's life across
   all entities, or one entity's event stream;

@@ -4,11 +4,11 @@ Three independent properties:
 
 * **Cross-group causal safety** — for randomized group shapes, submission
   schedules and (optionally) a backbone partition window, no entity ever
-  delivers a message before one of its causal predecessors, where the
-  happened-before relation is rebuilt *independently* of the engines via
-  :mod:`repro.analysis.causal_graph` over an application-level event log
-  (delivered-before-submitted edges, a sound subset of the protocol's
-  acceptance-based relation).
+  delivers a message before one of its causal predecessors, judged by
+  :func:`~repro.ordering.checker.verify_run` over an application-level
+  event log rebuilt *independently* of the engines (delivered-before-
+  submitted edges, a sound subset of the protocol's acceptance-based
+  relation).
 
 * **InterGroupPdu codec totality** — every syntactically valid barrier
   frame round-trips bit-exactly, and *every* strict prefix of an encoded
@@ -25,7 +25,6 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.causal_graph import build_causal_graph
 from repro.core.codec import CodecError, decode_pdu, encode_pdu
 from repro.core.config import ProtocolConfig
 from repro.core.groups import (
@@ -35,6 +34,7 @@ from repro.core.groups import (
 )
 from repro.core.pdu import InterGroupPdu
 from repro.core.state import KnowledgeState
+from repro.ordering.checker import verify_run
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceLog
 
@@ -118,19 +118,14 @@ def test_randomized_runs_never_violate_cross_group_causality(params):
         events.append((at, 0, "broadcast", src, {"kind": "DataPdu", "seq": seq}))
     for i in range(n):
         for m in cluster.delivered(i):
-            events.append(
-                (m.delivered_at, 1, "accept", i, {"src": m.src, "seq": m.seq}),
-            )
+            for category in ("accept", "deliver"):
+                events.append(
+                    (m.delivered_at, 1, category, i, {"src": m.src, "seq": m.seq}),
+                )
     events.sort(key=lambda e: (e[0], e[1]))
     for at, _, category, entity, fields in events:
         synth.record(at, category, entity, **fields)
-    graph = build_causal_graph(synth, n, reduce=True)
-    for i in range(n):
-        position = {message: k for k, message in enumerate(sequences[i])}
-        for p, q in graph.edges:
-            assert position[p] < position[q], (
-                f"entity {i} delivered {q} before its causal predecessor {p}"
-            )
+    verify_run(synth, n).assert_ok()
 
     # And the relay layer itself drained: no inter-group stream has gaps.
     for origin, owner in enumerate(cluster.bridges):

@@ -4,6 +4,8 @@ The checker guards every integration test, so it gets direct tests: it must
 *fail* on traces with planted violations, not just pass on good ones.
 """
 
+import time
+
 import pytest
 
 from repro.core.errors import DeliveryOrderError, IncompleteRecordingError
@@ -118,3 +120,36 @@ def test_recorder_that_kept_everything_is_verified_normally():
 def test_summary_format():
     summary = verify_run(clean_trace(), 2).summary()
     assert "[OK]" in summary and "sent=2" in summary
+
+
+def chain_trace(deliveries, n=4):
+    """Round-robin senders, each message accepted and delivered everywhere
+    before the next is sent: one causal chain through every message."""
+    t = TraceLog()
+    seqs = [0] * n
+    for k in range(deliveries // n):
+        src = k % n
+        seqs[src] += 1
+        t.record(float(k), "broadcast", src, kind="DataPdu", seq=seqs[src])
+        for entity in range(n):
+            t.record(float(k), "accept", entity, src=src, seq=seqs[src], null=False)
+            t.record(float(k), "deliver", entity, src=src, seq=seqs[src])
+    return t
+
+
+@pytest.mark.slow  # ~3 s: CI's faults job runs it, tier-1 does not
+def test_verify_time_is_linear_in_deliveries():
+    """10x the deliveries costs at most 20x the time: linear, where a
+    pairwise scan of each member's log would cost about 100x."""
+
+    def best_of_three(trace):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert verify_run(trace, 4).ok
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    small = best_of_three(chain_trace(10_000))
+    large = best_of_three(chain_trace(100_000))
+    assert large <= 20 * small, (small, large)
