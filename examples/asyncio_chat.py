@@ -68,7 +68,7 @@ def main() -> None:
     verify_run(members[0].trace, 3).assert_ok()
     print(f"UDP dropped {dropped}/{sent} datagrams on the real clock;")
     print("every screen shows the opener first and the wrap-up last —")
-    print("verified causally ordered by the happened-before oracle.")
+    print("verified causally ordered by the causal-order checker.")
 
 
 if __name__ == "__main__":

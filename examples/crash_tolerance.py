@@ -63,7 +63,7 @@ def main() -> None:
     summary = summarize_run(cluster.trace, 4, expect_all_delivered=False)
     assert summary.ok
     print("every survivor delivered both of the dead member's messages,")
-    print("in causal order — verified by the happened-before oracle.")
+    print("in causal order — verified by the causal-order checker.")
 
 
 if __name__ == "__main__":

@@ -625,7 +625,7 @@ def run_scenario(
 # Oracles: each judges a finished Run and raises InvariantViolation
 # ----------------------------------------------------------------------
 def ordered(run: Run, complete: bool = False) -> None:
-    """The happened-before oracle on every trace; ``complete`` also wants
+    """The causal-order checker on every trace; ``complete`` also wants
     every submission delivered everywhere."""
     for group in getattr(run.cluster, "groups", [run.cluster]):
         verify_run(group.trace, group.n, expect_all_delivered=complete).assert_ok()

@@ -2,7 +2,7 @@
 
 Real event loop, real wall-clock timers, nondeterministic scheduling — so
 the assertions are about outcomes (delivery, ordering, recovery), never
-timings.  The shared trace still feeds the happened-before oracle.  Each
+timings.  The shared trace still feeds the causal-order checker.  Each
 test uses its own port range so parallel pytest workers cannot collide.
 """
 

@@ -1,7 +1,7 @@
 """End-to-end integration: full clusters, workloads, loss, verification.
 
 Every test runs a complete simulated cluster and then checks the CO service
-contract (§2.3) with the independent happened-before oracle.
+contract (§2.3) with the independent causal-order checker.
 """
 
 import pytest

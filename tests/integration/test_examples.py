@@ -1,6 +1,6 @@
 """Every script in ``examples/`` runs to completion.
 
-Each example prints a self-checking summary backed by the ordering oracles
+Each example prints a self-checking summary backed by the run checker
 and raises if a check fails, so a zero exit status is the whole contract.
 They run as their own processes, with ``PYTHONPATH=src`` as the README
 tells a reader to run them.

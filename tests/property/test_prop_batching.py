@@ -6,7 +6,7 @@ Two families:
   codec, including MTU splits and the empty (pure-confirmation) frame;
 * protocol properties — a cluster mixing batched and unbatched senders
   under injected loss and duplication still satisfies the full CO service
-  contract as judged by the independent happened-before oracle, and a run
+  contract as judged by the independent causal-order checker, and a run
   capped at k PDUs per frame delivers what the one-PDU-per-frame run does.
 
 A frame is what one pump of the send queue releases, so the protocol
