@@ -30,6 +30,12 @@ ACK condition + action          :meth:`_ack_action`
 Deferred confirmation (§5)      :meth:`_maybe_confirm` / :meth:`on_tick`
 ==============================  ==========================================
 
+A host that reads its inbox in bursts (the UDP runtime) binds
+``more_input``: while it reports unread input, ``on_pdu`` runs only a PDU's
+intake and the speaking steps — PACK scan, confirmation, probe and
+stale-peer answers, pump — run once, in the burst's last ``on_pdu`` (a
+*turn*, :meth:`_settle`).  Without it every ``on_pdu`` is a turn of one.
+
 Self-delivery: the MC network does not loop a broadcast back to its sender;
 instead the engine *self-accepts* each PDU it sends, at send time.  This
 keeps the knowledge matrices uniform (the sender's own row of ``AL`` is just
@@ -389,6 +395,17 @@ class COEntity:
         self._batch: List[DataPdu] = []
         #: Sources heard from since this entity's last transmission.
         self._heard_from: Set[int] = set()
+        #: The open turn (docs/PROTOCOL.md §7): the speaking steps its
+        #: PDUs' intakes owe, run once by :meth:`_settle` — the PACK scan
+        #: and pump (``_owed``), the heard-from-all check, the probers to
+        #: answer, each peer's last non-probe heartbeat (stale-peer answer)
+        #: and an install re-send.  Empty whenever no input is waiting.
+        self._more_input: Optional[Callable[[], bool]] = None
+        self._owed = False
+        self._owed_confirm = False
+        self._owed_probes: List[int] = []
+        self._owed_stale: Dict[int, HeartbeatPdu] = {}
+        self._owed_install = False
         #: ``members - {self} - suspected``, the set the deferred rule waits
         #: to hear from; rebuilt on demand after a suspicion or view change.
         self._live_others: Optional[Set[int]] = None
@@ -442,6 +459,7 @@ class COEntity:
         send: SendFn,
         deliver: DeliverFn,
         unicast: Optional[UnicastFn] = None,
+        more_input: Optional[Callable[[], bool]] = None,
     ) -> None:
         """Attach the host's output callbacks.  Must precede any traffic.
 
@@ -449,10 +467,15 @@ class COEntity:
         dissemination travel over; without one the engine floods both,
         regardless of the configured mode — a host that cannot address
         individual peers cannot run a ring or gossip topology.
+
+        ``more_input`` tells whether PDUs already read from the wire wait
+        behind the one ``on_pdu`` is handling; a host that binds it gets
+        one turn per burst and calls :meth:`end_turn` after each burst.
         """
         self._send_fn = send
         self._deliver_fn = deliver
         self._unicast_fn = unicast
+        self._more_input = more_input
         self._strategy = (
             make_strategy(self.config, self.index) if unicast is not None else None
         )
@@ -475,6 +498,15 @@ class COEntity:
         self._trace.record(self._now, "submit", self.index, size=size)
         self._pending.append((data, size))
         self._pump()
+
+    def end_turn(self) -> None:
+        """Close a burst whose last PDU did not settle the turn — it did not
+        decode, the engine raised on it, or its handling owes nothing (a
+        fenced, foreign or join frame): run what the turn owes, as an input
+        of its own with one clock read.  Nothing owed, nothing read."""
+        if self._owed:
+            self._now = self._clock()
+            self._settle()
 
     def set_intergroup_handler(
         self, fn: Optional[Callable[[InterGroupPdu], None]]
@@ -535,12 +567,16 @@ class COEntity:
             self._on_ret(pdu)
         elif isinstance(pdu, HeartbeatPdu):
             self._on_heartbeat(pdu)
-        elif isinstance(pdu, ViewChangePdu):
-            self._on_view_change(pdu)
-        elif isinstance(pdu, JoinPdu):
-            self._on_join(pdu)
-        elif isinstance(pdu, StatePdu):
-            self._on_state(pdu)
+        elif isinstance(pdu, (ViewChangePdu, JoinPdu, StatePdu)):
+            # Membership logic never sees a half-settled turn.
+            if self._owed:
+                self._settle()
+            if isinstance(pdu, ViewChangePdu):
+                self._on_view_change(pdu)
+            elif isinstance(pdu, JoinPdu):
+                self._on_join(pdu)
+            else:
+                self._on_state(pdu)
         elif isinstance(pdu, DigestPdu):
             self._on_digest(pdu)
         elif isinstance(pdu, RepairPullPdu):
@@ -1059,9 +1095,7 @@ class COEntity:
             return  # :meth:`_on_batch` runs the tail once for the frame
         # Failure condition (2) applies to every received PDU's ACK vector.
         self._check_ack_gaps(p.ack, carrier=src)
-        self._pack_action()
-        self._maybe_confirm()
-        self._pump()
+        self._owe(confirm=True)
 
     def _accept(self, p: DataPdu, folded: bool = False) -> None:
         """The acceptance action (§4.2).
@@ -1161,9 +1195,7 @@ class COEntity:
         self._check_ack_gaps(b.ack, carrier=src)
         # The frame is a confirmation from its source, like a heartbeat.
         self._heard_from.add(src)
-        self._pack_action()
-        self._maybe_confirm()
-        self._pump()
+        self._owe(confirm=True)
 
     # ------------------------------------------------------------------
     # Failure condition (2) and RET handling (§4.3)
@@ -1273,8 +1305,7 @@ class COEntity:
                     self._send_repair(r.src, pdu)
                 else:
                     self.counters.retransmissions_suppressed += 1
-        self._pack_action()
-        self._pump()
+        self._owe(confirm=False)
 
     # ------------------------------------------------------------------
     # Anti-entropy repair (robustness extension, docs/PROTOCOL.md §15)
@@ -1319,9 +1350,7 @@ class COEntity:
             self._compare_digest(d)
         if d.view < self.view:
             self._resend_install_to_laggards()
-        self._pack_action()
-        self._maybe_confirm()
-        self._pump()
+        self._owe(confirm=True)
 
     def _compare_digest(self, d: DigestPdu) -> None:
         """Tier 2/3 decisions from one frontier comparison."""
@@ -1375,8 +1404,7 @@ class COEntity:
         self._check_ack_gaps(p.ack, carrier=p.src)
         if p.target == self.index and not self.joining:
             self._serve_ranges(p)
-        self._pack_action()
-        self._pump()
+        self._owe(confirm=False)
 
     def _serve_ranges(self, p: RepairPullPdu) -> None:
         """Re-send the requested ranges from the resident stores.
@@ -1511,35 +1539,73 @@ class COEntity:
         # Heartbeats count as "heard from" for the deferred-confirmation
         # trigger even though they are not accepted into any log.
         self._heard_from.add(h.src)
-        self._pack_action()
-        self._maybe_confirm()
+        # The answers are owed to the turn's end, after its PACK scan, so
+        # they carry the vectors everything read so far produced.
         if h.probe:
-            # The prober is stuck on knowledge it cannot name (e.g. its
-            # minPAL lags because OUR last heartbeat to it was lost): repeat
-            # our vectors to it, and to it alone.  Every probe is answered —
-            # the prober's back-off is the rate limit.  Whether it "trails
-            # us" cannot be read off the probe: its ``ack`` / ``pack`` are
-            # its own floors, not its copy of *our* row, so a prober that
-            # holds every PDU but lost our last heartbeat looks caught-up.
-            self._answer_probe(h.src)
-        elif self._may_announce(self._now) and any(
-            h.ack[j] < self.state.req[j] or h.pack[j] < self._preack_floor[j]
-            for j in range(self.n)
-        ):
-            # The peer's vectors trail ours — it missed a confirmation, and
-            # heartbeats are unsequenced, so loss leaves no gap to detect.
-            # (The O(1) rate limit goes first: most heartbeats land inside
-            # the deferred window, and the staleness scan is O(n).)  It is
-            # answered only when our vectors changed since we last
-            # confirmed: repeating unchanged ones for every pairwise
-            # staleness during convergence is a broadcast per heartbeat, and
-            # at large n the mutual answers overrun the receive buffers,
-            # which keeps everyone stale — a self-sustaining storm.  A peer
-            # that lost our *last* confirmation stays needy and probes.
-            self._send_confirmation(force=True)
+            if h.src not in self._owed_probes:
+                self._owed_probes.append(h.src)
+        else:
+            self._owed_stale[h.src] = h
         if h.view < self.view:
             # The peer missed a view installation (its heartbeat still
             # announces the old view): re-send the install, rate-limited.
+            self._owed_install = True
+        self._owe(confirm=True)
+
+    def _owe(self, confirm: bool) -> None:
+        """End a PDU's intake: the speaking steps are owed to the turn, and
+        run now unless more input waits (docs/PROTOCOL.md §7)."""
+        more = self._more_input
+        if more is not None and more():
+            self._owed = True
+            if confirm:
+                self._owed_confirm = True
+        else:
+            self._settle(confirm)
+
+    def _settle(self, confirm: bool = False) -> None:
+        """Run what the turn owes, once: PACK scan, heard-from-all
+        confirmation, probe answers, at most one stale-peer answer, install
+        re-send, pump — each handler's tail, in the order it ran them."""
+        self._owed = False
+        self._pack_action()
+        if confirm or self._owed_confirm:
+            self._owed_confirm = False
+            self._maybe_confirm()
+        if self._owed_probes:
+            probers, self._owed_probes = self._owed_probes, []
+            for src in probers:
+                # The prober is stuck on knowledge it cannot name (e.g. its
+                # minPAL lags because OUR last heartbeat to it was lost):
+                # repeat our vectors to it, and to it alone.  Every probe is
+                # answered — the prober's back-off is the rate limit.
+                # Whether it "trails us" cannot be read off the probe: its
+                # ``ack`` / ``pack`` are its own floors, not its copy of
+                # *our* row, so a prober that holds every PDU but lost our
+                # last heartbeat looks caught-up.
+                self._answer_probe(src)
+        beats = self._owed_stale
+        if beats:
+            stale = self._may_announce(self._now) and any(
+                h.ack[j] < self.state.req[j] or h.pack[j] < self._preack_floor[j]
+                for h in beats.values() for j in range(self.n)
+            )
+            beats.clear()
+            if stale:
+                # A peer's vectors trail ours — it missed a confirmation,
+                # and heartbeats are unsequenced, so loss leaves no gap to
+                # detect.  (The O(1) rate limit goes first: most heartbeats
+                # land inside the deferred window, and the staleness scan
+                # is O(n).)  It is answered only when our vectors changed
+                # since we last confirmed: repeating unchanged ones for
+                # every pairwise staleness during convergence is a
+                # broadcast per heartbeat, and at large n the mutual
+                # answers overrun the receive buffers, which keeps everyone
+                # stale — a self-sustaining storm.  A peer that lost our
+                # *last* confirmation stays needy and probes.
+                self._send_confirmation(force=True)
+        if self._owed_install:
+            self._owed_install = False
             self._resend_install_to_laggards()
         self._pump()
 

@@ -84,8 +84,11 @@ class AsyncEntityHost:
             # windows from this member's actual inbox headroom.
             advertised_buf=lambda: inbox.free_units,
         )
+        # One readable callback's drain is one engine turn: the engine
+        # speaks once, after the burst's last PDU (docs/PROTOCOL.md §7).
         self.engine.bind(
             send=self._send, deliver=self._on_deliver, unicast=self._unicast,
+            more_input=lambda: not inbox.empty,
         )
         self.delivered: List[DeliveredMessage] = []
         self._delivery_listeners: List[Callable[[DeliveredMessage], None]] = []
@@ -93,7 +96,7 @@ class AsyncEntityHost:
         self._tick_due = 0.0
         self._tick_interval = config.tick_interval
         self._ticks = 0
-        transport.attach(self.engine.on_pdu)
+        transport.attach(self.engine.on_pdu, self.engine.end_turn)
         transport.on_drop = self._record_drop
 
     # ------------------------------------------------------------------
@@ -110,6 +113,11 @@ class AsyncEntityHost:
             self._tick_handle = None
 
     def _on_tick(self, loop: asyncio.AbstractEventLoop) -> None:
+        # Read before the timers judge silence: the loop runs the readers
+        # that were ready when it polled, then the due timers, so a peer
+        # that spoke earlier in this iteration sits unread in the socket.
+        # A tick that probed then asked for what had already arrived.
+        self.transport.on_readable()
         self.engine.on_tick()
         self._ticks += 1
         if self._ticks % GAUGE_EVERY == 0:

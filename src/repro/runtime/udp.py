@@ -14,12 +14,14 @@ The datagram path runs to completion.  The socket is non-blocking and
 registered with ``loop.add_reader``; one readable callback moves a bounded
 burst of datagrams (:data:`RECV_BURST`) into the inbox, then pops, decodes
 and hands each to the engine synchronously until the inbox is empty — no
-event, no dispatch task, no coroutine per PDU.  A member therefore folds
-everything its peers sent since its last turn before it speaks, so its
-confirmations ride on its next data PDU instead of going out as one
-heartbeat per datagram.  Sends are direct ``sendto`` calls; a full kernel
-send buffer (``EAGAIN``/``ENOBUFS``) is one more dropped datagram, never
-an exception inside the engine.
+event, no dispatch task, no coroutine per PDU.  That drain is one engine
+*turn*: each PDU runs only its intake, and the engine speaks once, after
+the burst's last PDU.  A member therefore folds everything its peers sent
+since its last turn before it speaks, so its confirmations ride on its
+next data PDU instead of going out as one heartbeat per datagram.  Sends
+are direct ``sendto`` calls; a full kernel send buffer
+(``EAGAIN``/``ENOBUFS``) is one more dropped datagram, never an exception
+inside the engine.
 
 The inbox between the socket and the engine is a bounded
 :class:`~repro.net.buffers.ReceiveBuffer` — the paper's §2.1 receive
@@ -62,9 +64,10 @@ Address = Tuple[str, int]
 #: processed before the loop gets control back, so this bounds one member's
 #: turn: at the measured ~50 us per datagram (decode, ``on_pdu`` and the
 #: sends it triggers) 32 datagrams is ~1.6 ms, under the 2 ms tick interval
-#: of the wall-clock configs.  Goodput is flat from 12 to 48 and falls
-#: below that, where a member speaks before it has heard a round of its
-#: peers' flow windows (measurements in DESIGN.md §15).
+#: of the wall-clock configs.  A drain is one engine turn, so the budget
+#: is also how much one turn folds: goodput is flat from 32 to 48 and
+#: falls at 16, where a turn ends before it has heard a round of its
+#: peers (measurements in DESIGN.md §15).
 RECV_BURST = 32
 
 #: Larger than any UDP payload, so ``recv`` never truncates a datagram.
@@ -79,6 +82,10 @@ class _DatagramInbox(ReceiveBuffer):
 
     def _units(self, data: bytes) -> int:
         return self.units_per_pdu * datagram_pdu_count(data)
+
+
+def _nothing() -> None:
+    pass
 
 
 def _parse(address: str) -> Address:
@@ -121,6 +128,7 @@ class UdpTransport:
         self.frames_split = 0
         self._rng = random.Random(seed)
         self._sink: Optional[Sink] = None
+        self._end_turn: Callable[[], None] = _nothing
         self._sock: Optional[socket.socket] = None
         #: Bounded receive buffer between the socket and the engine — the
         #: §2.1 model made literal.  Frames arriving when it is full are
@@ -130,8 +138,9 @@ class UdpTransport:
             capacity_units=inbox_capacity_units, units_per_pdu=units_per_pdu,
         )
         #: Called with a reason (and details) for every datagram dropped on
-        #: the receive path — inbox overrun, engine rejection; the member
-        #: wires this to a ``drop`` trace record.
+        #: the receive path — inbox overrun, undecodable (``corrupt``),
+        #: engine rejection; the member wires this to a ``drop`` trace
+        #: record.
         self.on_drop: Optional[Callable[..., None]] = None
         self.datagrams_sent = 0
         #: Datagrams counted as sent that never reached the wire: injected
@@ -142,7 +151,7 @@ class UdpTransport:
         #: was full (``EAGAIN``/``ENOBUFS``) — sender-side overrun.
         self.send_blocked = 0
         self.decode_errors = 0
-        #: Well-formed frames the engine raised on (see :meth:`_on_readable`).
+        #: Well-formed frames the engine raised on (see :meth:`on_readable`).
         self.sink_errors = 0
         #: Frames rejected by the codec, broken down by cause (the CRC
         #: trailer rejects corrupted datagrams before they reach the engine).
@@ -171,11 +180,13 @@ class UdpTransport:
     # ------------------------------------------------------------------
     # Host interface
     # ------------------------------------------------------------------
-    def attach(self, sink: Sink) -> None:
-        """Set this endpoint's receive path (once)."""
+    def attach(self, sink: Sink, end_turn: Callable[[], None] = _nothing) -> None:
+        """Set this endpoint's receive path (once).  ``end_turn`` runs after
+        every drain (see :meth:`on_readable`)."""
         if self._sink is not None:
             raise ValueError("already attached")
         self._sink = sink
+        self._end_turn = end_turn
 
     def start(self) -> None:
         if self._sink is None:
@@ -191,7 +202,7 @@ class UdpTransport:
             sock.close()
             raise
         self._sock = sock
-        asyncio.get_running_loop().add_reader(sock, self._on_readable)
+        asyncio.get_running_loop().add_reader(sock, self.on_readable)
 
     def stop(self) -> None:
         """Unregister the reader, then close the socket (in that order: a
@@ -263,10 +274,16 @@ class UdpTransport:
     # ------------------------------------------------------------------
     # Receive path
     # ------------------------------------------------------------------
-    def _on_readable(self) -> None:
-        """The socket has datagrams: admit a bounded burst to the inbox,
-        then run the engine over the inbox until it is empty."""
+    def on_readable(self) -> None:
+        """The socket is readable (or the host is about to tick): admit a
+        bounded burst to the inbox, then run the engine over the inbox
+        until it is empty — one turn.  The engine settles the turn inside
+        the last PDU's sink call; when that datagram does not decode, the
+        sink raises on it or it owes nothing itself, the ``end_turn``
+        callback settles it instead."""
         sock = self._sock
+        if sock is None:
+            return  # never started, or stopped: a host tick reads nothing
         for _ in range(RECV_BURST):
             try:
                 data = sock.recv(_MAX_DATAGRAM)
@@ -277,23 +294,29 @@ class UdpTransport:
                 break
             self._on_datagram(data)
         inbox = self.inbox
-        while not inbox.empty:
-            # The engine speaks from inside the sink, so the BUF it
-            # advertises there is the inbox's occupancy mid-burst.
-            pdu = decode_pdu_safe(inbox.pop(), self.codec_counters)
-            if pdu is None:
-                self.decode_errors += 1
-                continue
-            try:
-                self._sink(pdu)
-            except Exception as exc:
-                # Well-formed on the wire, refused by the engine (a source
-                # index or vector length that lies about the cluster): any
-                # host that can reach the port is a peer, and one such frame
-                # must not strand the rest of the burst in the inbox.
-                self.sink_errors += 1
-                if self.on_drop is not None:
-                    self.on_drop("sink-error", error=repr(exc))
+        try:
+            while not inbox.empty:
+                # The engine speaks from inside the sink, so the BUF it
+                # advertises there is the inbox's occupancy mid-burst.
+                pdu = decode_pdu_safe(inbox.pop(), self.codec_counters)
+                if pdu is None:
+                    self.decode_errors += 1
+                    if self.on_drop is not None:
+                        self.on_drop("corrupt")
+                    continue
+                try:
+                    self._sink(pdu)
+                except Exception as exc:
+                    # Well-formed on the wire, refused by the engine (a
+                    # source index or vector length that lies about the
+                    # cluster): any host that can reach the port is a peer,
+                    # and one such frame must not strand the rest of the
+                    # burst in the inbox.
+                    self.sink_errors += 1
+                    if self.on_drop is not None:
+                        self.on_drop("sink-error", error=repr(exc))
+        finally:
+            self._end_turn()
 
     def _on_datagram(self, data: bytes) -> None:
         if not self.inbox.offer(data):

@@ -1,6 +1,7 @@
 """Shared test fixtures and helpers."""
 
-from typing import Any, List, Optional, Tuple
+from collections import deque
+from typing import Any, Deque, List, Optional, Tuple
 
 import pytest
 
@@ -23,7 +24,9 @@ class EngineDriver:
     opened it (docs/PROTOCOL.md §14).  The clock counts its reads
     (``driver.clock_reads``) and moves ``driver.clock_drift`` seconds on
     each one — a wall clock that runs while an input is processed.
-    ``engine_cls`` swaps in a :class:`COEntity` subclass.
+    ``engine_cls`` swaps in a :class:`COEntity` subclass.  ``receive`` is a
+    turn of one; ``receive_turn`` feeds several PDUs as one turn, the way
+    the UDP runtime drains a burst (docs/PROTOCOL.md §7).
     """
 
     def __init__(self, index: int, n: int, config: Optional[ProtocolConfig] = None,
@@ -37,6 +40,7 @@ class EngineDriver:
         self.sent: List[Any] = []
         self.unicasts: List[Tuple[int, Any]] = []
         self.delivered: List[DeliveredMessage] = []
+        self._unread: Deque[Any] = deque()
         self.engine = engine_cls(
             index, n,
             config or ProtocolConfig(),
@@ -50,6 +54,7 @@ class EngineDriver:
                 (lambda dst, pdu: self.unicasts.append((dst, pdu)))
                 if unicast else None
             ),
+            more_input=lambda: bool(self._unread),
         )
 
     def _read_clock(self) -> float:
@@ -69,6 +74,18 @@ class EngineDriver:
 
     def receive(self, pdu) -> None:
         self.engine.on_pdu(pdu)
+        assert not self.engine._batch
+
+    def receive_turn(self, pdus) -> None:
+        """Feed ``pdus`` as one turn: each leaves the unread queue before
+        ``on_pdu`` sees it, then the turn ends.  A ``None`` stands for a
+        datagram that did not decode — it never reaches the engine."""
+        self._unread.extend(pdus)
+        while self._unread:
+            pdu = self._unread.popleft()
+            if pdu is not None:
+                self.engine.on_pdu(pdu)
+        self.engine.end_turn()
         assert not self.engine._batch
 
     def tick(self, dt: float = 0.0) -> None:

@@ -1,14 +1,17 @@
 """The engine's clock contract (docs/PROTOCOL.md §13).
 
-``submit``, ``on_pdu`` and ``on_tick`` each read the clock exactly once, and
-every trace record an input makes — and every message it delivers — carries
-that one reading.  One timestamp per input is therefore all a recording of
+``submit``, ``on_pdu``, ``on_tick`` and — when a turn still owes work —
+``end_turn`` each read the clock exactly once, and every trace record an
+input makes — and every message it delivers — carries that one reading.
+A turn's settle runs inside its last ``on_pdu`` and reads nothing more.  One timestamp per input is therefore all a recording of
 a member's inputs needs to replay it.  ``engine.now`` stays a live read for
 callers outside an input.
 
 The EngineDriver clock advances on every read here, so a second read inside
 one input would show up as a second timestamp.
 """
+
+import pytest
 
 from repro.core.pdu import BatchPdu, HeartbeatPdu, RetPdu, ViewChangePdu
 from tests.conftest import EngineDriver, make_pdu
@@ -69,3 +72,51 @@ def test_now_outside_an_input_is_a_live_read():
     reads = driver.clock_reads
     assert driver.engine.now == driver.clock == stamped + 0.25
     assert driver.clock_reads == reads + 1
+
+
+def _burst():
+    """Two peers' data and confirmations: engine 0 of three delivers all."""
+    return [
+        make_pdu(1, 1, (1, 1, 1)),
+        make_pdu(2, 1, (1, 2, 1)),
+        HeartbeatPdu(cid=1, src=1, ack=(1, 2, 2), pack=(1, 2, 2), buf=BUF),
+        HeartbeatPdu(cid=1, src=2, ack=(1, 2, 2), pack=(1, 2, 2), buf=BUF),
+    ]
+
+
+def _speaking(records):
+    return [r for r in records
+            if r.category in ("preack", "ack", "deliver", "heartbeat")]
+
+
+def test_a_turn_of_k_pdus_reads_the_clock_k_times():
+    """One read per PDU; the settle runs inside the last ``on_pdu`` and
+    stamps everything it does with that PDU's reading."""
+    driver = EngineDriver(0, 3)
+    driver.clock_drift = 1e-3
+    reads, seen = driver.clock_reads, driver.trace.recorded_total
+    driver.receive_turn(_burst())
+    assert driver.clock_reads == reads + 4
+    records = list(driver.trace)[seen:]
+    assert [rec.time for rec in records if rec.category == "accept"] == (
+        pytest.approx([driver.clock - 3e-3, driver.clock - 2e-3]))
+    assert _speaking(records)
+    assert {rec.time for rec in _speaking(records)} == {driver.clock}
+    assert [m.delivered_at for m in driver.delivered] == [driver.clock] * 2
+
+
+def test_end_turn_is_an_input_of_its_own_with_one_read():
+    """A burst whose last datagram did not decode: ``end_turn`` settles it
+    with one read of its own.  With nothing owed it reads nothing."""
+    driver = EngineDriver(0, 3)
+    driver.clock_drift = 1e-3
+    reads, seen = driver.clock_reads, driver.trace.recorded_total
+    driver.receive_turn(_burst() + [None])
+    assert driver.clock_reads == reads + 5
+    records = list(driver.trace)[seen:]
+    assert {rec.time for rec in _speaking(records)} == {driver.clock}
+    assert driver.clock not in {rec.time for rec in records
+                                if rec.category == "accept"}
+    reads = driver.clock_reads
+    driver.engine.end_turn()
+    assert driver.clock_reads == reads
