@@ -47,6 +47,10 @@ CONTROL_SHARE = 0.25
 GAUGE_EVERY = 8
 
 
+def _no_turn() -> None:
+    """``end_turn`` of a baseline engine, which has no turns."""
+
+
 @dataclass(frozen=True)
 class CpuModel:
     """Per-PDU processing cost of a system entity.
@@ -97,6 +101,8 @@ class EntityHost(SimProcess):
         self._busy = False
         self._crashed = False
         self._paused = False
+        #: PDUs of the open turn still in the buffer (docs/PROTOCOL.md §7).
+        self._turn_left = 0
         #: Service-time multiplier (gray-failure injection: a CPU-inflated
         #: "slow node" serves every PDU this many times slower).
         self.cpu_scale = 1.0
@@ -138,6 +144,7 @@ class EntityHost(SimProcess):
         self._crashed = True
         self._tick.stop()
         self.buffer.clear()
+        self._turn_left = 0
         self.record("crash")
 
     @property
@@ -152,11 +159,13 @@ class EntityHost(SimProcess):
         stops — so the engine neither sends nor processes, exactly the
         silence a long GC pause produces.  A PDU already mid-service
         completes (it was in the pipeline) but does not chain into the
-        next one.  :meth:`resume` drains the backlog in a burst.
+        next one, and it ends the open turn, so a paused engine owes
+        nothing.  :meth:`resume` drains the backlog in turns.
         """
         if self._crashed or self._paused:
             return
         self._paused = True
+        self._turn_left = 0
         self._tick.stop()
         self.record("pause")
 
@@ -190,6 +199,7 @@ class EntityHost(SimProcess):
         self._crashed = False
         self._busy = False
         self._paused = False
+        self._turn_left = 0
         self.buffer.clear()
         self.engine = engine
         self._tick = PeriodicTimer(self.sim, self._tick.interval, self._on_tick)
@@ -198,18 +208,23 @@ class EntityHost(SimProcess):
         self._tick.start()
 
     def _bind_engine(self, engine: Any) -> None:
-        """Bind the engine's callbacks, offering the unicast path.
+        """Bind the engine's callbacks, offering the unicast path and the
+        turn (docs/PROTOCOL.md §7).
 
-        Baseline engines predate the dissemination extension and accept
-        only ``(send, deliver)`` — fall back for those; they flood.
+        Baseline engines predate both and accept only ``(send, deliver)`` —
+        fall back for those; they flood and handle every PDU on its own.
         """
         try:
             engine.bind(
                 send=self._send, deliver=self._on_deliver,
-                unicast=self._unicast,
+                unicast=self._unicast, more_input=self._more_input,
             )
         except TypeError:
             engine.bind(send=self._send, deliver=self._on_deliver)
+        self._end_turn = getattr(engine, "end_turn", _no_turn)
+
+    def _more_input(self) -> bool:
+        return self._turn_left > 0
 
     def _on_tick(self) -> None:
         self.engine.on_tick()
@@ -277,7 +292,14 @@ class EntityHost(SimProcess):
             self._begin_service()
 
     def _begin_service(self) -> None:
-        pdu = self.buffer.pop()
+        buffer = self.buffer
+        pdu = buffer.pop()
+        # A turn is the input already waiting when its first PDU is taken;
+        # what arrives during its service times waits for the next turn.
+        if self._turn_left:
+            self._turn_left -= 1
+        else:
+            self._turn_left = len(buffer)
         self._busy = True
         service = self.cpu.service_time(pdu, self.network.n) * self.cpu_scale
         self.busy_time += service
@@ -294,6 +316,10 @@ class EntityHost(SimProcess):
         self.pdus_processed += count
         started = perf_counter()
         self.engine.on_pdu(pdu)
+        if not self._turn_left:
+            # The turn's last PDU settles it; this settles one that ended
+            # on a PDU owing nothing (a fenced, foreign or join frame).
+            self._end_turn()
         elapsed = perf_counter() - started
         self.real_cpu_time += elapsed
         if not getattr(pdu, "is_control", False):

@@ -30,11 +30,11 @@ ACK condition + action          :meth:`_ack_action`
 Deferred confirmation (§5)      :meth:`_maybe_confirm` / :meth:`on_tick`
 ==============================  ==========================================
 
-A host that reads its inbox in bursts (the UDP runtime) binds
-``more_input``: while it reports unread input, ``on_pdu`` runs only a PDU's
-intake and the speaking steps — PACK scan, confirmation, probe and
-stale-peer answers, pump — run once, in the burst's last ``on_pdu`` (a
-*turn*, :meth:`_settle`).  Without it every ``on_pdu`` is a turn of one.
+A *turn* is the input that was already waiting when it began.  The host
+binds ``more_input`` to say whether any of it is still unread; while it is,
+``on_pdu`` runs only a PDU's intake, and the speaking steps — PACK scan,
+confirmation, probe and stale-peer answers, pump — run once, in the turn's
+last ``on_pdu`` (:meth:`_settle`).
 
 Self-delivery: the MC network does not loop a broadcast back to its sender;
 instead the engine *self-accepts* each PDU it sends, at send time.  This
@@ -90,6 +90,11 @@ SendFn = Callable[[Any], None]
 #: individual peers bind one; probe answers travel over it, and it is what
 #: engages non-flood dissemination.
 UnicastFn = Callable[[int, Any], None]
+
+
+def _nothing_waiting() -> bool:
+    """``more_input`` for a host that binds none: every input is a turn."""
+    return False
 
 
 @dataclass(frozen=True, slots=True)
@@ -400,7 +405,7 @@ class COEntity:
         #: and pump (``_owed``), the heard-from-all check, the probers to
         #: answer, each peer's last non-probe heartbeat (stale-peer answer)
         #: and an install re-send.  Empty whenever no input is waiting.
-        self._more_input: Optional[Callable[[], bool]] = None
+        self._more_input: Callable[[], bool] = _nothing_waiting
         self._owed = False
         self._owed_confirm = False
         self._owed_probes: List[int] = []
@@ -459,7 +464,7 @@ class COEntity:
         send: SendFn,
         deliver: DeliverFn,
         unicast: Optional[UnicastFn] = None,
-        more_input: Optional[Callable[[], bool]] = None,
+        more_input: Callable[[], bool] = _nothing_waiting,
     ) -> None:
         """Attach the host's output callbacks.  Must precede any traffic.
 
@@ -468,9 +473,9 @@ class COEntity:
         regardless of the configured mode — a host that cannot address
         individual peers cannot run a ring or gossip topology.
 
-        ``more_input`` tells whether PDUs already read from the wire wait
-        behind the one ``on_pdu`` is handling; a host that binds it gets
-        one turn per burst and calls :meth:`end_turn` after each burst.
+        ``more_input`` tells whether PDUs of the current turn wait behind
+        the one ``on_pdu`` is handling; the host calls :meth:`end_turn`
+        after each turn.  Unbound, nothing waits: every input is a turn.
         """
         self._send_fn = send
         self._deliver_fn = deliver
@@ -500,7 +505,7 @@ class COEntity:
         self._pump()
 
     def end_turn(self) -> None:
-        """Close a burst whose last PDU did not settle the turn — it did not
+        """Close a turn whose last PDU did not settle it — it did not
         decode, the engine raised on it, or its handling owes nothing (a
         fenced, foreign or join frame): run what the turn owes, as an input
         of its own with one clock read.  Nothing owed, nothing read."""
@@ -1554,9 +1559,12 @@ class COEntity:
 
     def _owe(self, confirm: bool) -> None:
         """End a PDU's intake: the speaking steps are owed to the turn, and
-        run now unless more input waits (docs/PROTOCOL.md §7)."""
-        more = self._more_input
-        if more is not None and more():
+        run now unless more of its input waits (docs/PROTOCOL.md §7).
+        Immediate confirmation opts out: it confirms per receipt."""
+        if (
+            self.config.confirmation is not ConfirmationMode.IMMEDIATE
+            and self._more_input()
+        ):
             self._owed = True
             if confirm:
                 self._owed_confirm = True

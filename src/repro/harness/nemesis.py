@@ -17,8 +17,8 @@ invariant comes back as a failed :class:`NemesisOutcome`, never as an
 exception out of the campaign.
 
 Each scenario runs a faulted cluster to quiescence and then asserts the
-**safety invariants** of the crash-recovery extension on top of the usual
-happened-before ordering oracle:
+**safety invariants** of the crash-recovery extension on top of the
+causal-order checker (:func:`repro.ordering.checker.verify_run`):
 
 * *view agreement* — no two engines ever installed the same view number
   with different member sets, and all final members sit in the same view;
@@ -844,10 +844,12 @@ _SCENARIOS = (
 
         Every flip must be caught by the codec's CRC trailer (zero undetected
         corruptions) and the protocol must recover the dropped frames like any
-        other loss.
+        other loss.  Member 0's first data PDU is damaged on its way to
+        member 1 whatever the draws, so every seed meets a corruption.
         """,
         n=3, config=NO_EVICT,
-        faults=lambda: {"loss": CorruptionLoss(rate=0.1)}, fired={"loss": "corrupt_frames"},
+        faults=lambda: {"loss": CorruptionLoss(rate=0.1, targets=[(0, 1, 1)])},
+        fired={"loss": "corrupt_frames"},
         traffic=(Traffic("crc", 9),), oracles=(complete, converged, checksummed),
     ),
     Scenario(

@@ -12,7 +12,7 @@ component drops it).
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Set, Tuple
+from typing import Any, Dict, List, Sequence, Set, Tuple
 
 
 class LossModel:
@@ -249,19 +249,27 @@ class CorruptionLoss(LossModel):
     is dropped (exactly what a real receiver does with a bad frame); the
     pathological case where the flip still decodes is counted separately
     so the integrity tests can assert it never happens.
+
+    ``targets`` are ``(src, seq, dst)`` data copies damaged whatever the
+    draw, each once (as :class:`ScriptedLoss` drops them), so a scenario
+    meets at least one corruption by construction.
     """
 
-    def __init__(self, rate: float):
+    def __init__(self, rate: float, targets: Sequence[Tuple[int, int, int]] = ()):
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"rate must be in [0, 1], got {rate}")
         self.rate = rate
+        self._targets: Set[Tuple[int, int, int]] = set(targets)
         #: Frames corrupted and (correctly) rejected by the checksum.
         self.corrupt_frames = 0
         #: Corrupted frames the checksum failed to reject — should stay 0.
         self.undetected_corruptions = 0
 
     def should_drop(self, src: int, dst: int, pdu: Any, rng: random.Random) -> bool:
-        if self.rate == 0.0 or rng.random() >= self.rate:
+        key = (src, getattr(pdu, "seq", None), dst)
+        if key in self._targets:
+            self._targets.discard(key)
+        elif self.rate == 0.0 or rng.random() >= self.rate:
             return False
         from repro.core.codec import decode_pdu_safe, encode_pdu_into
 

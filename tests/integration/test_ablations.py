@@ -10,7 +10,7 @@ from repro.core.config import (
     RetransmissionScheme,
 )
 from repro.harness import ExperimentConfig, run_experiment
-from repro.net.loss import BernoulliLoss
+from repro.net.loss import BernoulliLoss, ScriptedLoss
 from repro.ordering.checker import verify_run
 from repro.sim.rng import RngRegistry
 
@@ -25,18 +25,34 @@ class TestGoBackN:
         result.report.assert_ok()
 
     def test_gbn_retransmits_more_than_selective(self):
-        # Enough traffic and loss that several multi-PDU gaps open: with
-        # only a handful of loss events both schemes resend the same few
-        # PDUs and the counts can tie.
-        def retx(protocol):
-            result = run_experiment(ExperimentConfig(
-                protocol=protocol, n=4, messages_per_entity=40,
-                loss_rate=0.15, seed=6,
-            ))
-            result.report.assert_ok()
-            return result.entity_counters["retransmissions"]
+        # Go-back-n resends more only where a gap has PDUs behind it that
+        # were already sent; under paced random loss a RET usually reaches
+        # a source that has sent nothing past the gap, and the counts tie.
+        # So every member sends a window's worth at once and the next
+        # member loses the third: four gaps, each with five PDUs behind it.
+        # Selective repeat stashes those; go-back-n discards them and the
+        # source resends the whole tail from the gap on.
+        def run(scheme):
+            loss = ScriptedLoss([(src, 3, (src + 1) % 4) for src in range(4)])
+            cluster = build_cluster(
+                4, config=ProtocolConfig(retransmission=scheme, window=8),
+                loss=loss, rngs=RngRegistry(6),
+            )
+            for src in range(4):
+                for k in range(8):
+                    cluster.submit(src, f"{src}-{k}")
+            cluster.run_until_quiescent(max_time=60.0)
+            assert loss.exhausted
+            verify_run(cluster.trace, 4).assert_ok()
+            return {
+                key: sum(getattr(e.counters, key) for e in cluster.engines)
+                for key in ("retransmissions", "discarded_out_of_order", "stashed")
+            }
 
-        assert retx("co-gbn") > retx("co")
+        gbn = run(RetransmissionScheme.GO_BACK_N)
+        selective = run(RetransmissionScheme.SELECTIVE)
+        assert gbn["discarded_out_of_order"] == selective["stashed"] == 4 * 5
+        assert gbn["retransmissions"] > selective["retransmissions"]
 
     def test_gbn_never_stashes(self):
         result = run_experiment(ExperimentConfig(

@@ -12,7 +12,7 @@ from repro.core.codec import encode_pdu
 from repro.core.config import ProtocolConfig
 from repro.core.pdu import StatePdu
 from repro.harness.nemesis import check_rejoin_coverage
-from repro.net.loss import TargetedLoss
+from repro.net.loss import LinkLoss, TargetedLoss
 from repro.sim.rng import RngRegistry
 
 #: The largest UDP payload over IPv4.
@@ -112,8 +112,17 @@ def test_engine_containers_do_not_grow_with_run_length():
 def test_peer_assist_suppressors_are_pruned_with_the_peer_store():
     """PDUs served on another source's behalf (repair pulls, peer-assisted
     RETs) leave suppressor entries; the prune floor that empties the peer
-    store clears them too."""
-    cluster = _lossy_cluster()
+    store clears them too.
+
+    The link from member 0 to member 3 is cut for the first 30 ms, under
+    ``suspect_timeout``.  Members 1 and 2 each digest with their three
+    peers in turn, every 10 ms, so their first digests aimed at member 3
+    land inside the cut, while it holds none of 0's PDUs: it pulls them,
+    and they serve them from their peer stores."""
+    cut = LinkLoss()
+    cut.block(0, 3)
+    cluster = build_cluster(4, config=REPAIR, loss=cut, rngs=RngRegistry(3))
+    cluster.sim.schedule(0.03, cut.heal)
     assisted = []
     for engine in cluster.engines:
         for j, suppressor in enumerate(engine._suppressors):

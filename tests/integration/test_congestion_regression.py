@@ -164,6 +164,20 @@ def test_member_held_backlogged_still_confirms_through_the_round():
     assert report.deliveries == [30] * n
 
 
+#: ``copies_sent`` of the run below when every simulated ``on_pdu`` was a
+#: turn of its own: a saturated member confirmed each round it completed.
+_WIDE_COPIES_TURNS_OF_ONE = 16_213
+
+
+def test_a_saturated_wide_cluster_folds_its_rounds_into_turns():
+    """docs/PROTOCOL.md §7: a turn is the input already waiting when it
+    began, so a member that reads a round's worth of confirmations in one
+    turn confirms once.  At n=32 that must take copies per message well
+    below the turn-of-one figure."""
+    cluster = _run_wide(32, seed=7000, per_sender=6)
+    assert cluster.network.stats.copies_sent <= 0.8 * _WIDE_COPIES_TURNS_OF_ONE
+
+
 #: Copies per message of the run below before a backlogged member deferred
 #: its timer confirmation: flat it was not.
 _RUN_LENGTH_COPIES_BEFORE = {3: 327, 6: 310, 10: 431, 15: 474}
@@ -173,15 +187,16 @@ _RUN_LENGTH_COPIES_BEFORE = {3: 327, 6: 310, 10: 431, 15: 474}
 def test_copies_per_message_stay_flat_as_the_run_gets_longer():
     """ROADMAP item 1: ``sim_wide`` at 3 / 6 / 10 / 15 messages per sender.
     Hosts stay saturated for longer as the run grows; the changed vectors
-    each message causes must not grow with it."""
+    each message causes must not grow with it.  (They may fall: a longer
+    saturated run folds more of its rounds into turns.)"""
     per_msg = {}
     for per_sender in sorted(_RUN_LENGTH_COPIES_BEFORE):
         cluster = _run_wide(32, seed=7000, per_sender=per_sender)
         assert sum(e.counters.probes_sent for e in cluster.engines) == 0
         per_msg[per_sender] = cluster.network.stats.copies_sent / (32 * per_sender)
     assert max(per_msg.values()) <= 160, per_msg           # <= 1/3 of 634, with room
-    mean = sum(per_msg.values()) / len(per_msg)
-    assert all(abs(v - mean) <= 0.3 * mean for v in per_msg.values()), per_msg
+    shortest = per_msg[min(per_msg)]
+    assert all(v <= 1.3 * shortest for v in per_msg.values()), per_msg
 
 
 #: ``copies_sent`` of the run below before probes waited for silence and

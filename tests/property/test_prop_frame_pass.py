@@ -24,7 +24,8 @@ from tests.conftest import EngineDriver, make_pdu
 
 
 class PerPduEntity(COEntity):
-    """The engine with every fold undone: per-PDU merge, check, bookkeeping."""
+    """The engine with every fold undone: per-PDU merge, check, bookkeeping.
+    Turns are the host's, not a fold, so both engines take the same ones."""
 
     def _pump(self) -> int:
         sent = 0
@@ -90,9 +91,7 @@ class PerPduEntity(COEntity):
         self._merge_pal(b.src, b.pack)
         self._check_ack_gaps(b.ack, carrier=b.src)
         self._heard_from.add(b.src)
-        self._pack_action()
-        self._maybe_confirm()
-        self._pump()
+        self._owe(confirm=True)
 
     def _pack_action(self) -> None:
         newly = []

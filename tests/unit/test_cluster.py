@@ -1,11 +1,14 @@
 """Unit tests for hosts, the CPU model and cluster assembly."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.cluster import CpuModel, build_cluster
 from repro.core.config import ProtocolConfig
 from repro.core.errors import ConfigurationError
 from repro.net.topology import Topology
+from tests.conftest import make_pdu
 
 
 def test_cpu_model_linear_in_n():
@@ -191,3 +194,69 @@ def test_quiescence_polling_reads_only_the_tail_of_the_trace(monkeypatch):
     cluster.run_until_quiescent(max_time=60.0)
     assert sum(asked) == cluster.trace.recorded_total - before > 0
     assert all(len(cluster.delivered(i)) == 5 for i in range(3))
+
+
+def _turn_host():
+    """Host 0 of three, alone (its peers crashed), serving a data PDU in
+    1 ms, with a record of each data PDU its engine handles: ``(seq,
+    more_input())`` — whether more of that PDU's turn was still waiting."""
+    cluster = build_cluster(3, cpu=CpuModel(base=1e-3, per_entity=0.0))
+    cluster.crash(1)
+    cluster.crash(2)
+    host = cluster.hosts[0]
+    engine = host.engine
+    seen = []
+    on_pdu = engine.on_pdu
+
+    def recording(pdu):
+        seen.append((pdu.seq, engine._more_input()))
+        on_pdu(pdu)
+
+    engine.on_pdu = recording
+    # p1 arrives alone and is a turn of its own; p2–p4 arrive while it is
+    # served, so they wait, and are what waits when the next turn begins.
+    host.on_arrival(make_pdu(1, 1, (1, 1, 1)))
+    for seq in (2, 3, 4):
+        cluster.sim.schedule(0.5e-3, host.on_arrival, make_pdu(1, seq, (1, seq, 1)))
+    return cluster, host, seen
+
+
+def test_a_sim_turn_is_the_input_that_waited_when_it_began():
+    """docs/PROTOCOL.md §7: a PDU that arrives during a turn's service
+    times is handled in the next turn."""
+    cluster, host, seen = _turn_host()
+    cluster.sim.schedule(1.5e-3, host.on_arrival, make_pdu(1, 5, (1, 5, 1)))
+    cluster.run_for(10e-3)
+    assert seen == [(1, False), (2, True), (3, True), (4, False), (5, False)]
+    assert not host.engine._owed
+
+
+def test_a_turn_that_ends_on_a_pdu_owing_nothing_is_settled_by_end_turn():
+    cluster, host, seen = _turn_host()
+    foreign = replace(make_pdu(1, 5, (1, 5, 1)), cid=2)
+    cluster.sim.schedule(0.5e-3, host.on_arrival, foreign)
+    cluster.run_for(10e-3)
+    assert seen[-2:] == [(4, True), (5, False)]
+    assert host.engine.counters.foreign_cluster == 1
+    assert not host.engine._owed
+
+
+def test_a_paused_host_owes_nothing():
+    """Pausing mid-turn ends the turn with the PDU in service; the rest of
+    the backlog is the first turn after the resume."""
+    cluster, host, seen = _turn_host()
+    cluster.sim.schedule(1.5e-3, host.pause)
+    cluster.run_for(10e-3)
+    assert seen == [(1, False), (2, False)]
+    assert not host.engine._owed and len(host.buffer) == 2
+    host.resume()
+    cluster.run_for(10e-3)
+    assert seen[2:] == [(3, True), (4, False)]
+    assert not host.engine._owed
+
+
+def test_a_crash_discards_the_open_turn():
+    cluster, host, _ = _turn_host()
+    cluster.sim.schedule(1.5e-3, host.crash)
+    cluster.run_for(10e-3)
+    assert not host._more_input()

@@ -1,14 +1,16 @@
-"""One engine turn per receive burst (docs/PROTOCOL.md §7).
+"""One engine turn rule (docs/PROTOCOL.md §7).
 
-A host that binds ``more_input`` gets one turn per burst: each ``on_pdu``
-runs only its intake, and the speaking steps — PACK scan, heard-from-all
+A turn is the input already waiting when it began; the host's
+``more_input`` says whether any of it is unread.  Each ``on_pdu`` runs
+only its intake, and the speaking steps — PACK scan, heard-from-all
 confirmation, probe and stale-peer answers, pump — run once, in the
-burst's last ``on_pdu`` (or in ``end_turn`` when that PDU settles nothing).
+turn's last ``on_pdu`` (or in ``end_turn`` when that PDU settles nothing).
 ``EngineDriver.receive`` is a turn of one; ``receive_turn`` is a burst.
 """
 
 from dataclasses import replace
 
+from repro.core.config import ConfirmationMode, ProtocolConfig
 from repro.core.pdu import HeartbeatPdu, ViewChangePdu
 from tests.conftest import EngineDriver, make_pdu
 
@@ -65,6 +67,18 @@ def test_a_turn_confirms_the_round_once():
     # Heard from both peers after "b" and again after "d".
     assert len(confirmations(one_by_one)) == 2
     assert [hb.ack for hb in confirmations(turn)] == [(1, 3, 3)]
+
+
+def test_immediate_confirmation_confirms_per_receipt_within_a_turn():
+    """The C1 ablation opts out of turns: a turn sends what one-by-one
+    handling sends."""
+    config = ProtocolConfig(confirmation=ConfirmationMode.IMMEDIATE)
+    one_by_one, turn = EngineDriver(0, 3, config), EngineDriver(0, 3, config)
+    for pdu in history()[:4]:
+        one_by_one.receive(pdu)
+    turn.receive_turn(history()[:4])
+    assert len(confirmations(turn)) == 4
+    assert turn.sent == one_by_one.sent
 
 
 def test_a_probe_is_answered_once_after_the_turns_pack_scan():

@@ -187,6 +187,16 @@ class TestCorruptionLoss:
         assert model.corrupt_frames == 200
         assert model.undetected_corruptions == 0
 
+    def test_a_target_is_damaged_whatever_the_draw_once(self):
+        from repro.net.loss import CorruptionLoss
+        model = CorruptionLoss(0.0, targets=[(0, 1, 1)])
+        rng = random.Random(0)
+        pdu = self._pdu()
+        assert not model.should_drop(0, 2, pdu, rng)
+        assert model.should_drop(0, 1, pdu, rng)
+        assert not model.should_drop(0, 1, pdu, rng)
+        assert model.corrupt_frames == 1
+
     def test_rate_validation(self):
         from repro.net.loss import CorruptionLoss
         with pytest.raises(ValueError):
