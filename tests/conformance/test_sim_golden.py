@@ -12,7 +12,10 @@ ISSUE 23 (a backlogged member defers its timer confirmation) before any
 change as captured — at n ≤ 8 with these loads no inbox ever holds a round
 of unread input.  ``overrun`` was re-shaped and re-captured by ISSUE 23: at
 n=20 the gate removed so many stale confirmations that 256-unit buffers
-stopped overrunning altogether.  A perf change to ``sim/``, ``net/`` or
+stopped overrunning altogether.  ``jitter``, ``lossy`` and ``overrun`` were
+re-captured when the simulator host began to fold the input waiting at a
+turn's start into one engine turn (docs/PROTOCOL.md §7); ``sparse`` held,
+since its inboxes are read empty between arrivals.  A perf change to ``sim/``, ``net/`` or
 ``core/cluster.py`` that reorders one same-instant event, draws one RNG
 value out of order or shifts one arrival by an ulp fails here, in tier-1,
 not only in the end-to-end comparison.
@@ -93,60 +96,61 @@ def fingerprint(scenario):
 
 GOLDEN = {
     'jitter': {
-        'events_executed': 1506,
+        'events_executed': 1310,
         'now': 0.025202999999999996,
         'overruns': 0,
         'network': {
-            'batch_frames': 0, 'batched_data_pdus': 0, 'broadcasts': 91,
-            'bytes_sent': 158480, 'control_pdus': 59, 'copies_delivered': 637,
-            'copies_dropped': 0, 'copies_duplicated': 0, 'copies_sent': 637,
+            'batch_frames': 0, 'batched_data_pdus': 0, 'broadcasts': 77,
+            'bytes_sent': 150640, 'control_pdus': 45, 'copies_delivered': 539,
+            'copies_dropped': 0, 'copies_duplicated': 0, 'copies_sent': 539,
             'data_pdus': 32, 'unicasts': 0,
         },
         'trace': {
-            'accept': 256, 'ack': 256, 'broadcast': 91, 'deliver': 256,
-            'gauge': 24, 'heartbeat': 59, 'preack': 256, 'submit': 32,
+            'accept': 256, 'ack': 256, 'broadcast': 77, 'deliver': 256,
+            'gauge': 24, 'heartbeat': 45, 'preack': 256, 'submit': 32,
         },
         'deliveries_sha256':
-            'a87ddef4b68f47e4a22b1b4ad9ddf45ce0cac81af2521442e36a47a1c063c50c',
+            '5b67bddc30c05fc324e4d63944fd42f0b8b4e6ece57a7255b5601319db887a67',
     },
     'lossy': {
-        'events_executed': 1678,
+        'events_executed': 1704,
         'now': 0.033603999999999995,
         'overruns': 0,
         'network': {
-            'batch_frames': 0, 'batched_data_pdus': 0, 'broadcasts': 102,
-            'bytes_sent': 199388, 'control_pdus': 73, 'copies_delivered': 691,
-            'copies_dropped': 37, 'copies_duplicated': 0, 'copies_sent': 728,
-            'data_pdus': 43, 'unicasts': 14,
+            'batch_frames': 0, 'batched_data_pdus': 0, 'broadcasts': 98,
+            'bytes_sent': 217424, 'control_pdus': 105,
+            'copies_delivered': 704, 'copies_dropped': 37,
+            'copies_duplicated': 0, 'copies_sent': 741, 'data_pdus': 48,
+            'unicasts': 55,
         },
         'trace': {
-            'accept': 256, 'ack': 256, 'broadcast': 102, 'deliver': 256,
-            'drop': 37, 'duplicate': 62, 'gap': 148, 'gauge': 32,
-            'heartbeat': 56, 'preack': 256, 'ret': 17, 'retransmit': 11,
-            'stash': 9, 'submit': 32, 'unicast': 14,
+            'accept': 256, 'ack': 256, 'broadcast': 98, 'deliver': 256,
+            'drop': 37, 'duplicate': 93, 'gap': 146, 'gauge': 32,
+            'heartbeat': 89, 'preack': 256, 'ret': 16, 'retransmit': 16,
+            'stash': 9, 'submit': 32, 'unicast': 55,
         },
         'deliveries_sha256':
-            'b9e605e5b7c59886098b382ec83325494486acdb08d9983dde65e92c4b918212',
+            'b92e98068dd829857eb2aeb93e3b1cd405ddea48d5626f09b12ae8a447c5b14a',
     },
     'overrun': {
-        'events_executed': 23486,
+        'events_executed': 21971,
         'now': 0.08400999999999997,
-        'overruns': 116,
+        'overruns': 281,
         'network': {
-            'batch_frames': 0, 'batched_data_pdus': 0, 'broadcasts': 545,
-            'bytes_sent': 3625324, 'control_pdus': 1460,
-            'copies_delivered': 10931, 'copies_dropped': 566,
-            'copies_duplicated': 0, 'copies_sent': 11497, 'data_pdus': 227,
-            'unicasts': 1142,
+            'batch_frames': 0, 'batched_data_pdus': 0, 'broadcasts': 525,
+            'bytes_sent': 3556096, 'control_pdus': 1103,
+            'copies_delivered': 10256, 'copies_dropped': 532,
+            'copies_duplicated': 0, 'copies_sent': 10788, 'data_pdus': 235,
+            'unicasts': 813,
         },
         'trace': {
-            'accept': 1200, 'ack': 1200, 'broadcast': 545, 'deliver': 1200,
-            'drop': 682, 'duplicate': 2901, 'gap': 4916, 'gauge': 200,
-            'heartbeat': 1279, 'preack': 1200, 'ret': 181, 'retransmit': 167,
-            'stash': 54, 'submit': 60, 'unicast': 1142,
+            'accept': 1200, 'ack': 1200, 'broadcast': 525, 'deliver': 1200,
+            'drop': 813, 'duplicate': 2961, 'gap': 4855, 'gauge': 200,
+            'heartbeat': 915, 'preack': 1200, 'ret': 188, 'retransmit': 175,
+            'stash': 54, 'submit': 60, 'unicast': 813,
         },
         'deliveries_sha256':
-            'd7fc15fecab24c7f94d6a01df23a6e18de4da338a7be112f9a53cc166487d36e',
+            '37eef671326a901265d42582e3a58050968a1f73e98f990a90b7c0593f66aa3c',
     },
     'sparse': {
         'events_executed': 23670,
@@ -167,6 +171,7 @@ GOLDEN = {
             'e637978a27be3192a6876298a38e3f363ac31fe92b0e5777a5160ea64615edd6',
     },
 }
+
 
 
 @pytest.mark.parametrize("scenario", sorted(GOLDEN))

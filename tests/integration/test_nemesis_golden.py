@@ -7,7 +7,12 @@ simulated ``converge_time`` / ``detect_latency`` where the scenario
 reports one.  The literals were captured before the scenarios became
 declarative specs driven by one runner and pass unchanged after it: a
 change to the harness that reorders one same-instant fault, moves one
-submission or draws one RNG value out of order fails here.
+submission or draws one RNG value out of order fails here.  Eighteen
+cases were re-captured when the simulator host began to fold the input
+waiting at a turn's start into one engine turn (docs/PROTOCOL.md §7): the
+same view logs and delivered sets, with concurrent messages interleaved
+differently, three converge times one 20 ms polling chunk apart and four
+detect latencies one or two ticks apart.
 
 To re-capture after an *intended* behaviour change:
 ``PYTHONPATH=src python tests/integration/test_nemesis_golden.py``.
@@ -49,11 +54,11 @@ GOLDEN = {
     },
     ('batching', 0): {
         'history_sha256':
-            '189d8cc82a1da58310cb351d83021d0af971dc236a072f94b71c55db06e9a904',
+            '40edb26d445e1eec55b09e2f459d069102d7d7ca1046efd94e55a81baad0c6ff',
     },
     ('batching', 1009): {
         'history_sha256':
-            '4c6ee60116f739b4b966379bec91421b7d399d749c7f4143b1037e245025996a',
+            '6fc73d0aa132c0fd74299de0202a38b9be848e1779936569bb5be57aec3bb967',
     },
     ('bridge-failover', 0): {
         'history_sha256':
@@ -67,44 +72,44 @@ GOLDEN = {
     },
     ('combo', 0): {
         'history_sha256':
-            '2a1c94836a19ee1bb067ef890d6466df3142c907071011e9b47591ef72489725',
+            'af64bfa78c27409c49caf08a7ae7de5804dc38591aafa218fbe85e531b7a678e',
     },
     ('combo', 1009): {
         'history_sha256':
-            'cc43b3be68ece760200d1dc8ccd430493d953113377421a4b98d7dde33c9001f',
+            '47f3f7f8a9d64d3b8b7efeeb0aa70894a97c4b2f0ed4560cf41fb8d0df047d46',
     },
     ('corruption', 0): {
         'history_sha256':
-            '625c1e84c40b39e459bb95fff5f8017f232c7b6a30c89b596f0ac26327d0a89c',
+            '6ed07465b7b9ed7c07fb5a4bf580c2b71a99e8dba0475451b5bdaf201ffa026c',
     },
     ('corruption', 1009): {
         'history_sha256':
-            'a712890329f5084af4d78d07f11208f30b8b23cbd2f5701145e16ebebd24b535',
+            'a8718d802bd55fded5909db5f83d10fcba966d7c8f724ba6849897195885d52e',
     },
     ('crash-evict-rejoin', 0): {
         'history_sha256':
-            'ce407ae03c13bf44fd15805e6e86068c8acc79ad0519cd0138e83a1761e2171a',
+            '8ba50ee5aae6b3b4d08c877c6992c0457a6acaa452ad6e4c828452d3dfe6bbe0',
     },
     ('crash-evict-rejoin', 1009): {
         'history_sha256':
-            '043da5b8de735604ad939d1ab7a42bc2714c65aa8c0b9ea79ca75b5967cc7b27',
+            '4cf99d2ffea67286888971acbba4fcbe9357e260b9b8a7dd93a55db37b6036a8',
     },
     ('duplication', 0): {
         'history_sha256':
-            '89d09d570fd5962b000620a74e58b92f31726375c0b3bc54b6d8c908cb198b05',
+            '5920cdf522e7c6ccbfe9a454b3e5866a9a0ed92c7ba6fd9dced56d5648d0a1e0',
     },
     ('duplication', 1009): {
         'history_sha256':
-            '37908cdbd71977eff9feac32a168d459be046a6752a15d286911f0eab4cf9dfd',
+            '166366b5bddecd0a474da3f18a40ea237c1519d35e90e7469f61d2dc941cdcb2',
     },
     ('gossip-loss-storm', 0): {
         'history_sha256':
-            'f149db86e1da0b7093a8d3460f6f529e91b423784e3abe3a2f60b0c383091d49',
-        'converge_time': 0.020000000000000018,
+            '9a465a5bddd7d9838c484b6b79fdfc9968f11d64e154b1dba340752494306517',
+        'converge_time': 0.0,
     },
     ('gossip-loss-storm', 1009): {
         'history_sha256':
-            'f149db86e1da0b7093a8d3460f6f529e91b423784e3abe3a2f60b0c383091d49',
+            'd22231beedb5e9e625fbf9e5521ea6e9f528f6226171cfd38ab9aca1fa8a885a',
         'converge_time': 0.020000000000000018,
     },
     ('intergroup-partition', 0): {
@@ -131,13 +136,13 @@ GOLDEN = {
     },
     ('loss-storm', 0): {
         'history_sha256':
-            '86e33a4832ba6037d65970da5d996e638334415d96e35a3f2ec506e640eb14d1',
-        'converge_time': 0.0,
+            'f149db86e1da0b7093a8d3460f6f529e91b423784e3abe3a2f60b0c383091d49',
+        'converge_time': 0.020000000000000018,
     },
     ('loss-storm', 1009): {
         'history_sha256':
             '006ee193bfbc2c03f82241213f0a1c33239a7ccc8e888871a70f791886fc093f',
-        'converge_time': 0.0,
+        'converge_time': 0.020000000000000018,
     },
     ('partition-flapping', 0): {
         'history_sha256':
@@ -171,13 +176,13 @@ GOLDEN = {
         'history_sha256':
             '0e1f7feab43b23ba0c3c72bda2dd52c08256aef9c928e8a8a5ad53e29bb56ee7',
         'converge_time': 0.0,
-        'detect_latency': 0.01100000000000001,
+        'detect_latency': 0.01200000000000001,
     },
     ('pause-resume', 1009): {
         'history_sha256':
             '0e1f7feab43b23ba0c3c72bda2dd52c08256aef9c928e8a8a5ad53e29bb56ee7',
         'converge_time': 0.0,
-        'detect_latency': 0.01100000000000001,
+        'detect_latency': 0.01200000000000001,
     },
     ('ring-partition', 0): {
         'history_sha256':
@@ -191,17 +196,18 @@ GOLDEN = {
     },
     ('slow-node', 0): {
         'history_sha256':
-            '581c91abf84b2912be68a298745c79d24f8391e98352d04657b6fc71457a017d',
+            '7fefec0340835d322e4c885d6ab58aea68b14d229acffed6d3015c2a4812bb17',
         'converge_time': 0.0,
-        'detect_latency': 0.016000000000000014,
+        'detect_latency': 0.014000000000000012,
     },
     ('slow-node', 1009): {
         'history_sha256':
-            '581c91abf84b2912be68a298745c79d24f8391e98352d04657b6fc71457a017d',
+            '7fefec0340835d322e4c885d6ab58aea68b14d229acffed6d3015c2a4812bb17',
         'converge_time': 0.0,
-        'detect_latency': 0.016000000000000014,
+        'detect_latency': 0.014000000000000012,
     },
 }
+
 
 
 def test_every_scenario_is_pinned():
