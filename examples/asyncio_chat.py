@@ -19,6 +19,7 @@ from typing import List
 
 from repro.ordering.checker import verify_run
 from repro.runtime import UdpMember, udp_cluster
+from repro.sim.trace import TraceLog
 
 NAMES = ["ana", "bo", "cy"]
 
@@ -36,7 +37,9 @@ async def quiesce(members: List[UdpMember], timeout: float = 30.0) -> None:
 
 
 async def chat() -> List[UdpMember]:
-    members = await udp_cluster(3, loss_rate=0.10, seed=9)
+    # A complete TraceLog, not the default ring: the causal-order checker
+    # reads every acceptance and delivery.
+    members = await udp_cluster(3, loss_rate=0.10, seed=9, trace=TraceLog())
     ana, bo, cy = members
     try:
         ana.broadcast(b"ana: anyone up for lunch?")

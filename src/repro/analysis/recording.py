@@ -7,6 +7,8 @@ recording:
 * per-phase latency percentiles (submit→deliver, accept→pre-ack,
   accept→ack) — the Figure 8 / claim C2 view of the captured window;
 * the PDU census (broadcasts, accepts, drops, RETs, retransmits, ...);
+  a bounded ring keeps no per-PDU records, so for its recordings these
+  two say so in one line instead of printing half-empty tables;
 * the repair-activity ledger (digests, pulls by trigger, ranges and bytes
   served, delta bursts) when the anti-entropy layer was on;
 * overrun / retransmission timelines as bucketed sparklines — the "when
@@ -69,10 +71,14 @@ def summarize_recording(
     """The full text summary of one recording."""
     meta = meta or {}
     bucket = bucket if bucket is not None else _auto_bucket(trace)
+    if meta.get("per_pdu", True):
+        per_pdu = [_latency_section(trace), _census_section(trace)]
+    else:
+        per_pdu = ["per-PDU records not kept (a bounded ring keeps faults and "
+                   "decisions): no phase latencies or PDU census"]
     sections: List[str] = [
         _header_section(trace, meta),
-        _latency_section(trace),
-        _census_section(trace),
+        *per_pdu,
         _repair_section(trace),
         _detector_section(trace),
         _timeline_section(trace, bucket),

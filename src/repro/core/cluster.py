@@ -524,8 +524,8 @@ class Cluster:
         # drained cluster keeps exchanging them forever, so they cannot
         # count as progress either — the pulls/deltas they *trigger* do.
         ignored = frozenset({"heartbeat", "broadcast", "drop", "gauge", "digest"})
-        # A bounded FlightRecorder sheds old records, so progress is judged
-        # on the *tail*: recorded_total tracks every record ever offered.
+        # Progress is judged on the *tail*: recorded_total counts every
+        # record ever offered, whatever clear() did to the retained ones.
         trace = self.trace
         cursor = trace.recorded_total
         quiet_streak = 0
@@ -533,8 +533,8 @@ class Cluster:
             self.sim.run(until=min(self.sim.now + chunk, max_time))
             fresh = trace.recorded_total - cursor
             cursor += fresh
-            # A ring that evicted part of the chunk's records saw that much
-            # churn: progress by definition.
+            # A log cleared during the chunk saw that much churn: progress
+            # by definition.
             progressed = fresh > len(trace) or any(
                 rec.category not in ignored for rec in trace.tail(fresh)
             )
@@ -602,6 +602,12 @@ def build_cluster(
         )
     sim = sim or Simulator()
     trace = trace if trace is not None else TraceLog()
+    if not trace.keeps_per_pdu:
+        raise ConfigurationError(
+            f"a simulated cluster needs a trace that keeps per-PDU records: "
+            f"run_until_quiescent judges progress from them, and "
+            f"{type(trace).__name__} keeps none — pass TraceLog()"
+        )
     topology = topology or Topology.uniform(n, 200e-6)
     if topology.n != n:
         raise ConfigurationError(

@@ -258,7 +258,10 @@ class COEntity:
     clock:
         Returns the current time; used for trace stamps and timeouts.
     trace:
-        Shared :class:`~repro.sim.trace.TraceLog`.
+        Shared :class:`~repro.sim.trace.TraceLog`.  The per-PDU happy path
+        (``submit``, ``accept``, ``preack``, ``ack``, ``deliver``, non-probe
+        ``heartbeat``, ``batch``, ``flow-blocked``) is recorded only when
+        the log :attr:`~repro.sim.trace.TraceLog.keeps_per_pdu`.
     advertised_buf:
         Returns the free buffer units this entity advertises in its PDUs'
         ``BUF`` field (the host wires this to its receive buffer).
@@ -291,6 +294,10 @@ class COEntity:
         #: (docs/PROTOCOL.md §13).
         self._now: float = clock()
         self._trace = trace
+        #: ``trace.record`` for the per-PDU happy path, or None when the log
+        #: keeps faults and decisions only (a bounded ring): then those
+        #: records cost no call at all (DESIGN.md §16).
+        self._record_pdu = trace.record if trace.keeps_per_pdu else None
         self._advertised_buf = advertised_buf or (lambda: 10 ** 9)
         #: BUF of the empty inbox — every host builds its engine before any
         #: traffic; the shortfall against it is the unread input.
@@ -500,7 +507,8 @@ class COEntity:
             raise ValueError("application data must not be None (reserved for null PDUs)")
         self._now = self._clock()
         self.counters.submitted += 1
-        self._trace.record(self._now, "submit", self.index, size=size)
+        if self._record_pdu is not None:
+            self._record_pdu(self._now, "submit", self.index, size=size)
         self._pending.append((data, size))
         self._pump()
 
@@ -767,11 +775,12 @@ class COEntity:
                 if not self._flow_block_announced:
                     decision = self.flow.check(seq)
                     self.counters.flow_blocked += 1
-                    self._trace.record(
-                        self._now, "flow-blocked", self.index,
-                        seq=decision.seq, reason=decision.reason,
-                        window=decision.effective_window,
-                    )
+                    if self._record_pdu is not None:
+                        self._record_pdu(
+                            self._now, "flow-blocked", self.index,
+                            seq=decision.seq, reason=decision.reason,
+                            window=decision.effective_window,
+                        )
                     self._flow_block_announced = True
                 break
             release = min(end - seq, len(pending))
@@ -842,10 +851,11 @@ class COEntity:
             self.counters.sent_batches += 1
             self.counters.batched_pdus += len(batch)
             self._last_confirmed_pack = frame.pack
-            self._trace.record(
-                self._now, "batch", self.index,
-                count=len(batch), seqs=list(frame.seqs),
-            )
+            if self._record_pdu is not None:
+                self._record_pdu(
+                    self._now, "batch", self.index,
+                    count=len(batch), seqs=list(frame.seqs),
+                )
         batch.clear()
         self._last_confirmed_req = frame.ack
         self._send_frame(frame)
@@ -1118,10 +1128,11 @@ class COEntity:
         self.rrl.enqueue(p)
         self._pack_dirty.add(src)
         self.counters.accepted += 1
-        self._trace.record(
-            self._now, "accept", self.index,
-            src=src, seq=p.seq, null=p.is_null,
-        )
+        if self._record_pdu is not None:
+            self._record_pdu(
+                self._now, "accept", self.index,
+                src=src, seq=p.seq, null=p.is_null,
+            )
         own = src == self.index
         if not own:
             self._peer_store[src][p.seq] = p
@@ -1669,7 +1680,7 @@ class COEntity:
         rrl, prl, floor = self.rrl, self.prl, self._preack_floor
         dep_waiters = self._dep_waiters
         min_al = self.state.min_al
-        record, now, me = self._trace.record, self._now, self.index
+        record, now, me = self._record_pdu, self._now, self.index
         while work:
             # Lowest source first: deterministic, and it reproduces the
             # ascending-source visit order of the paper's worked example
@@ -1688,7 +1699,8 @@ class COEntity:
                 rrl.dequeue(j)
                 floor[j] = p.seq + 1
                 prl.insert(p)
-                record(now, "preack", me, src=j, seq=p.seq)
+                if record is not None:
+                    record(now, "preack", me, src=j, seq=p.seq)
                 newly.append(p)
                 acks.setdefault(j, []).append(p.ack)
                 waiters = dep_waiters[j]
@@ -1746,7 +1758,7 @@ class COEntity:
             min_pal = self.state.min_pal
             floor = self._delivered_floor
             counters = self.counters
-            record, now, me = self._trace.record, self._now, self.index
+            record, now, me = self._record_pdu, self._now, self.index
             on_acknowledged = self._on_acknowledged  # overridable hook
             while p is not None:
                 src, seq = p.src, p.seq
@@ -1755,7 +1767,8 @@ class COEntity:
                 prl.popleft()
                 floor[src] = seq + 1
                 counters.acknowledged += 1
-                record(now, "ack", me, src=src, seq=seq)
+                if record is not None:
+                    record(now, "ack", me, src=src, seq=seq)
                 on_acknowledged(p)
                 p = prl.top
         self._prune()
@@ -1777,7 +1790,8 @@ class COEntity:
         if self._deliver_fn is None:
             raise ProtocolError("engine used before bind()")
         self.counters.delivered += 1
-        self._trace.record(self._now, "deliver", self.index, src=p.src, seq=p.seq)
+        if self._record_pdu is not None:
+            self._record_pdu(self._now, "deliver", self.index, src=p.src, seq=p.seq)
         # Positional: a frozen dataclass builds faster without keywords.
         self._deliver_fn(DeliveredMessage(p.data, p.src, p.seq, self._now))
 
@@ -2387,8 +2401,8 @@ class COEntity:
         if probe:
             self.counters.probes_sent += 1
             self._trace.record(self._now, "heartbeat", self.index, probe=True)
-        else:
-            self._trace.record(self._now, "heartbeat", self.index)
+        elif self._record_pdu is not None:
+            self._record_pdu(self._now, "heartbeat", self.index)
         return HeartbeatPdu(
             cid=self.config.cluster_id,
             src=self.index,

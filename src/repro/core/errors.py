@@ -29,10 +29,11 @@ class DeliveryOrderError(ReproError, AssertionError):
 
 
 class IncompleteRecordingError(ReproError, ValueError):
-    """A run was handed to the verification oracle on a bounded recorder
-    that had already shed records (``FlightRecorder.evicted > 0``).
+    """A run was handed to the verification oracle on a log that keeps no
+    per-PDU records (a bounded ``FlightRecorder``).
 
-    What is missing would read as undelivered messages and broken causal
-    chains, so :func:`repro.ordering.checker.verify_run` refuses instead of
-    reporting them.
+    A check over it would pass vacuously, and whatever the ring shed would
+    read as undelivered messages and broken causal chains, so
+    :func:`repro.ordering.checker.verify_run` refuses instead of reporting
+    either.
     """

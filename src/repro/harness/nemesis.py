@@ -33,11 +33,11 @@ causal-order checker (:func:`repro.ordering.checker.verify_run`):
   and the survivors' sending logs prune back to empty (the evicted row no
   longer pins the stores).
 
-With ``--record-dir`` (or the ``REPRO_FLIGHT_DIR`` environment variable)
-every scenario runs against a bounded :class:`~repro.sim.trace.FlightRecorder`
-and a failing scenario dumps its recording as JSONL next to the verdict —
-one file per group trace plus the backbone's for the hierarchy scenarios —
-and ``python -m repro inspect`` summarizes it.
+Every scenario records into a complete :class:`~repro.sim.trace.TraceLog`,
+which its oracles read.  With ``--record-dir`` (or the ``REPRO_FLIGHT_DIR``
+environment variable) a failing scenario dumps that log as JSONL next to
+the verdict — one file per group trace plus the backbone's for the
+hierarchy scenarios — and ``python -m repro inspect`` summarizes it.
 
 Run from the command line::
 
@@ -77,7 +77,7 @@ from repro.net.loss import (
 )
 from repro.ordering.checker import verify_run
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import FlightRecorder, TraceLog
+from repro.sim.trace import TraceLog
 
 #: Timing profile every scenario shares: fast suspicion and eviction so a
 #: whole campaign stays inside a CI-friendly simulated (and wall) budget.
@@ -1129,12 +1129,10 @@ def run_nemesis(
     rounds: int = 1,
     verbose: bool = False,
     record_dir: Optional[str] = None,
-    recorder_capacity: int = 200_000,
 ) -> List[NemesisOutcome]:
     """Run the selected scenarios ``rounds`` times with derived seeds.
 
-    With ``record_dir`` every scenario runs against a bounded
-    :class:`FlightRecorder`; a failing scenario dumps its recordings in
+    With ``record_dir`` a failing scenario dumps its complete trace logs in
     that directory (created on demand) and lists their paths under the
     outcome's ``flight_recordings`` observation.
     """
@@ -1145,12 +1143,8 @@ def run_nemesis(
     outcomes: List[NemesisOutcome] = []
     for round_index in range(rounds):
         for name in names:
-            recorder = (
-                FlightRecorder(capacity=recorder_capacity)
-                if record_dir is not None else None
-            )
             outcome = run_scenario(
-                SCENARIOS[name], seed + round_index * 1009, recorder, record_dir,
+                SCENARIOS[name], seed + round_index * 1009, record_dir=record_dir,
             )
             outcomes.append(outcome)
             if verbose:

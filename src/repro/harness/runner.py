@@ -289,9 +289,8 @@ def run_experiment(
     with loss, strict paper mode on finite workloads) run to ``max_time``
     and report ``quiesced=False`` instead of raising.
 
-    Pass a ``trace`` (e.g. a bounded
-    :class:`~repro.sim.trace.FlightRecorder`) to record into a
-    caller-owned log — the soak harness uses this to dump a recording of
+    Pass a ``trace`` (a :class:`~repro.sim.trace.TraceLog`) to record into
+    a caller-owned log — the soak harness uses this to dump a recording of
     a failing trial.
     """
     rngs = RngRegistry(config.seed)

@@ -37,7 +37,7 @@ from repro.harness.nemesis import (
 )
 from repro.harness.runner import ExperimentConfig, _build_workload, run_experiment
 from repro.net.loss import BernoulliLoss
-from repro.sim.trace import FlightRecorder, TraceLog
+from repro.sim.trace import TraceLog
 
 #: The pools each trial draws from.
 CLUSTER_SIZES = (2, 3, 4, 5, 6, 8)
@@ -245,7 +245,6 @@ def run_soak(
     seed: int = 0,
     verbose: bool = False,
     record_dir: Optional[str] = None,
-    recorder_capacity: int = 200_000,
 ) -> SoakReport:
     """Run a full campaign and return the aggregate report.
 
@@ -253,15 +252,15 @@ def run_soak(
     survivors under the membership extension's semantics; a further one in
     six runs the full eviction (and, half the time, rejoin) machinery.
 
-    With ``record_dir`` every trial runs against a bounded
-    :class:`FlightRecorder` and a failing trial dumps its recording as
+    With ``record_dir`` every trial records into a :class:`TraceLog` of its
+    own and a failing trial dumps that complete log as
     ``soak-trial-<index>.jsonl`` there for ``python -m repro inspect``.
     """
     rng = random.Random(seed)
     report = SoakReport(trials=trials)
     start = time.perf_counter()
 
-    def dump_on_failure(outcome: TrialOutcome, recorder: Optional[FlightRecorder]) -> None:
+    def dump_on_failure(outcome: TrialOutcome, recorder: Optional[TraceLog]) -> None:
         if outcome.ok or recorder is None:
             return
         os.makedirs(record_dir, exist_ok=True)
@@ -270,10 +269,7 @@ def run_soak(
         outcome.detail += f" [recording: {path}]"
 
     for index in range(trials):
-        recorder = (
-            FlightRecorder(capacity=recorder_capacity)
-            if record_dir is not None else None
-        )
+        recorder = TraceLog() if record_dir is not None else None
         draw = rng.random()
         if draw < 2 / 6:
             kind, runner = (

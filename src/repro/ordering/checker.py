@@ -210,17 +210,17 @@ def verify_run(
     to lose or reorder (unordered broadcast, PO under loss), where the point
     is counting the violations rather than failing.
 
-    A bounded recorder that shed records cannot be verified: the missing
-    head of the run would read as undelivered messages and broken causal
-    chains.  That is an incomplete recording, not a protocol defect, and
-    is reported as one.
+    A bounded recorder cannot be verified: it keeps no per-PDU records, so
+    a check over it would pass with nothing sent and nothing delivered, and
+    once it sheds records the missing head of the run would read as
+    undelivered messages and broken causal chains.  That is an incomplete
+    recording, not a protocol defect, and is reported as one.
     """
-    evicted = getattr(trace, "evicted", 0)
-    if evicted:
+    if not trace.keeps_per_pdu:
         raise IncompleteRecordingError(
-            f"incomplete recording: the trace shed {evicted} records, so the "
-            "run cannot be verified — record into a TraceLog() or a larger "
-            "FlightRecorder"
+            f"incomplete recording: a {type(trace).__name__} keeps no "
+            "per-PDU records, so the run cannot be verified — record into "
+            "a TraceLog()"
         )
     check = CausalPass(trace, n)
     sent = check.sent()

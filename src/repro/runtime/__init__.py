@@ -20,7 +20,10 @@ describes.
 
 Wall-clock runs have no natural end, so members record into a bounded
 :class:`~repro.sim.trace.FlightRecorder` unless handed an explicit
-``TraceLog()`` (which the causal-order checker needs for long runs).
+``TraceLog()``.  The ring keeps faults and decisions (drops, gaps, RETs,
+suspicions, view changes, gauges), not the per-PDU happy path, so its
+memory stays a fixed cost; the causal-order checker needs the complete
+``TraceLog()``.
 
 Determinism note: asyncio scheduling is *not* deterministic, which is
 exactly why the evaluation lives on the simulator.  The runtime's tests

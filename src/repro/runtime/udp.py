@@ -344,8 +344,9 @@ class UdpMember:
         self.config = config or DEFAULT_RUNTIME_CONFIG
         self.index = index
         # A wall-clock run has no natural end, so the default trace is the
-        # bounded recorder; pass ``TraceLog()`` to keep every record (the
-        # causal-order checker needs the complete log).
+        # bounded recorder, which keeps faults and decisions only; pass
+        # ``TraceLog()`` to keep every record (the causal-order checker
+        # needs the complete log).
         self.trace = trace if trace is not None else FlightRecorder()
         self.transport = UdpTransport(
             index, peers, loss_rate=loss_rate, seed=seed + index,
@@ -391,15 +392,17 @@ async def udp_cluster(
     seed: int = 0,
     inbox_capacity_units: int = 4096,
     max_frame_bytes: int = 1400,
+    trace: Optional[TraceLog] = None,
 ) -> List[UdpMember]:
     """Assemble and start a loopback UDP cluster.
 
-    All members log into one bounded
-    :class:`~repro.sim.trace.FlightRecorder`, so the causal-order checker
-    can verify the run as long as nothing was evicted from it.
+    All members log into one shared ``trace``.  By default that is a
+    bounded :class:`~repro.sim.trace.FlightRecorder`, which keeps faults
+    and decisions but no per-PDU records; pass ``trace=TraceLog()`` to
+    keep every record, as the causal-order checker needs.
     """
     peers = [f"127.0.0.1:{base_port + i}" for i in range(n)]
-    trace = FlightRecorder()
+    trace = trace if trace is not None else FlightRecorder()
     members = [
         UdpMember(i, peers, config=config, loss_rate=loss_rate, seed=seed,
                   trace=trace,

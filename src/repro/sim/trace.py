@@ -18,9 +18,14 @@ engines stick to the vocabulary in :data:`CATEGORIES`.
 Recording is on every runtime's hot path, so a record is a plain
 ``__slots__`` class (half a frozen dataclass's construction cost) and there
 is one way in, :meth:`TraceLog.record`, which also keeps ``recorded_total``.
-Nothing is recorded that no consumer reads: a copy *reaching* a receive
-buffer is not an event, its fate (``drop``, or ``accept`` / ``duplicate`` /
-``stash`` once the engine saw it) is — DESIGN.md §16.
+Nothing is recorded that no consumer of *that log* reads: a copy
+*reaching* a receive buffer is not an event, its fate (``drop``, or
+``accept`` / ``duplicate`` / ``stash`` once the engine saw it) is; and the
+per-PDU happy path (:data:`PER_PDU_CATEGORIES`) goes only into a log that
+keeps it (:attr:`TraceLog.keeps_per_pdu`).  A complete :class:`TraceLog`
+keeps everything — the checker and the lifecycle metrics read it.  A
+bounded :class:`FlightRecorder` is the ring for runs with no end, and keeps
+faults and decisions only — DESIGN.md §16.
 """
 
 from __future__ import annotations
@@ -72,6 +77,16 @@ CATEGORIES = (
 )
 
 
+#: The per-PDU happy path: what every message does at every member when
+#: nothing goes wrong.  The engine records these only into a log whose
+#: :attr:`~TraceLog.keeps_per_pdu` is true (probe heartbeats are a decision,
+#: not happy path, and are always recorded).
+PER_PDU_CATEGORIES = (
+    "submit", "accept", "preack", "ack", "deliver", "heartbeat", "batch",
+    "flow-blocked",
+)
+
+
 class TraceRecord:
     """One event in a run.
 
@@ -117,6 +132,11 @@ class TraceLog:
     The log preserves insertion order, which equals simulated-time order
     because the kernel is single-threaded and monotonic.
     """
+
+    #: A complete log keeps the per-PDU happy path
+    #: (:data:`PER_PDU_CATEGORIES`): the causal-order checker, the
+    #: lifecycle metrics and quiescence detection read it.
+    keeps_per_pdu = True
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
@@ -260,12 +280,21 @@ class FlightRecorder(TraceLog):
     overrun.  The recorder keeps the *tail* of the run — the window that
     contains whatever just went wrong — and counts what it shed
     (``evicted``) so a truncated recording is never mistaken for a short
-    run.  Drop-in everywhere a ``TraceLog`` goes: engines, clusters,
-    runtimes and harnesses record into it unchanged — through
+    run.  It is the default log of the wall-clock runtime, whose runs have
+    no end: the engine records no per-PDU happy path into it
+    (:attr:`keeps_per_pdu`), so the ring holds faults and decisions
+    instead of being flushed by deliveries.  A record still goes through
     :meth:`TraceLog.record` itself (the bound lives in the ``deque`` the
     records go into), so whatever instruments that one method sees every
     record; what the bound shed is what was offered, not kept, not cleared.
+    A log that keeps no per-PDU records cannot be verified and cannot
+    drive a simulated cluster's quiescence detection: ``verify_run`` and
+    ``build_cluster`` refuse it.
     """
+
+    #: A ring has no end to verify against, so it keeps faults and
+    #: decisions, not the happy path every PDU takes at every member.
+    keeps_per_pdu = False
 
     def __init__(self, capacity: int = 100_000, enabled: bool = True):
         if capacity <= 0:
@@ -287,6 +316,7 @@ class FlightRecorder(TraceLog):
     def meta(self) -> Dict[str, Any]:
         return {
             "kind": "flight-recorder",
+            "per_pdu": self.keeps_per_pdu,
             "capacity": self.capacity,
             "records": len(self._records),
             "recorded_total": self.recorded_total,

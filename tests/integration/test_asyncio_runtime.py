@@ -2,7 +2,7 @@
 
 Real event loop, real wall-clock timers, nondeterministic scheduling — so
 the assertions are about outcomes (delivery, ordering, recovery), never
-timings.  The shared trace still feeds the causal-order checker.  Each
+timings.  A shared complete ``TraceLog`` feeds the causal-order checker.  Each
 test uses its own port range so parallel pytest workers cannot collide.
 """
 
@@ -11,6 +11,7 @@ import asyncio
 from repro.core.config import DisseminationMode, ProtocolConfig
 from repro.ordering.checker import verify_run
 from repro.runtime.udp import udp_cluster
+from repro.sim.trace import TraceLog
 from tests.integration.test_udp_runtime import quiesce, stop_all
 
 
@@ -35,7 +36,7 @@ class TestAsyncCluster:
 
     def test_concurrent_senders_all_delivered(self):
         async def scenario():
-            members = await udp_cluster(4, base_port=20160, seed=2)
+            members = await udp_cluster(4, base_port=20160, seed=2, trace=TraceLog())
             try:
                 for round_ in range(5):
                     for member in members:
@@ -53,7 +54,7 @@ class TestAsyncCluster:
     def test_loss_is_recovered_on_the_real_clock(self):
         async def scenario():
             members = await udp_cluster(
-                3, base_port=20170, seed=3, loss_rate=0.15,
+                3, base_port=20170, seed=3, loss_rate=0.15, trace=TraceLog(),
             )
             try:
                 for k in range(10):
@@ -103,7 +104,7 @@ class TestDisseminationOverAsyncio:
 
         async def scenario():
             members = await udp_cluster(n, base_port=20190, seed=6,
-                                        config=config)
+                                        config=config, trace=TraceLog())
             try:
                 for round_ in range(rounds):
                     for member in members:

@@ -19,6 +19,7 @@ from repro.core.pdu import BatchPdu, DataPdu
 from repro.ordering.checker import verify_run
 from repro.runtime.udp import udp_cluster
 from repro.sim.rng import RngRegistry
+from repro.sim.trace import TraceLog
 
 
 def _engine_totals(cluster):
@@ -100,7 +101,7 @@ class TestUdpBatching:
     def test_batched_traffic_over_loopback(self):
         async def scenario():
             members = await udp_cluster(
-                3, base_port=19960, seed=4,
+                3, base_port=19960, seed=4, trace=TraceLog(),
                 config=ProtocolConfig(
                     tick_interval=2e-3, deferred_interval=4e-3,
                     ret_timeout=10e-3, batch_max_pdus=4,
@@ -131,6 +132,7 @@ class TestUdpBatching:
             # three windows deep so that multi-PDU frames form at all.
             members = await udp_cluster(
                 3, base_port=19970, seed=9, max_frame_bytes=300,
+                trace=TraceLog(),
                 config=ProtocolConfig(
                     tick_interval=2e-3, deferred_interval=4e-3,
                     ret_timeout=10e-3, batch_max_pdus=4,

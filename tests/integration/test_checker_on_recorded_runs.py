@@ -121,7 +121,7 @@ def test_dropped_delivery_on_a_ring_sim_run_is_missing():
 
 def test_dropped_delivery_on_a_udp_run_is_missing():
     async def scenario():
-        members = await udp_cluster(3, base_port=20200, seed=12)
+        members = await udp_cluster(3, base_port=20200, seed=12, trace=TraceLog())
         try:
             for k in range(6):
                 members[k % 3].broadcast(f"u{k}".encode())

@@ -9,16 +9,18 @@ import asyncio
 import errno
 import socket
 import time
+from collections import Counter
 
 import pytest
 
+from repro.analysis.recording import inspect_path
 from repro.core.codec import decode_pdu, encode_pdu
 from repro.core.config import DisseminationMode, ProtocolConfig
 from repro.core.pdu import DataPdu, HeartbeatPdu
 from repro.ordering.checker import verify_run
 from repro.runtime.host import lazy_loop_clock
 from repro.runtime.udp import RECV_BURST, UdpMember, UdpTransport, udp_cluster
-from repro.sim.trace import FlightRecorder, TraceLog
+from repro.sim.trace import PER_PDU_CATEGORIES, FlightRecorder, TraceLog
 
 
 def run(coroutine):
@@ -64,7 +66,7 @@ class TestUdpCluster:
 
     def test_concurrent_senders(self):
         async def scenario():
-            members = await udp_cluster(3, base_port=19910, seed=2)
+            members = await udp_cluster(3, base_port=19910, seed=2, trace=TraceLog())
             try:
                 for k in range(6):
                     members[k % 3].broadcast(f"m{k}".encode())
@@ -81,7 +83,7 @@ class TestUdpCluster:
     def test_injected_datagram_loss_recovered(self):
         async def scenario():
             members = await udp_cluster(
-                3, base_port=19920, seed=3, loss_rate=0.15,
+                3, base_port=19920, seed=3, loss_rate=0.15, trace=TraceLog(),
             )
             try:
                 for k in range(8):
@@ -125,7 +127,7 @@ class TestUdpCluster:
         )
         async def scenario():
             members = await udp_cluster(3, base_port=19960, seed=6,
-                                        config=config)
+                                        config=config, trace=TraceLog())
             try:
                 for k in range(6):
                     members[k % 3].broadcast(f"r{k}".encode())
@@ -153,7 +155,7 @@ class TestUdpCluster:
 
         async def scenario():
             members = await udp_cluster(n, base_port=20110, seed=6,
-                                        config=config)
+                                        config=config, trace=TraceLog())
             try:
                 for round_ in range(rounds):
                     for member in members:
@@ -196,7 +198,7 @@ class TestUdpCluster:
 
         async def scenario():
             members = await udp_cluster(n, base_port=20050, seed=7,
-                                        config=config)
+                                        config=config, trace=TraceLog())
             try:
                 # Deeper than the window, so frames of up to eight 256 B
                 # PDUs form — past the 1400 B datagram budget.
@@ -368,6 +370,7 @@ class TestBoundedInbox:
         async def scenario():
             members = await udp_cluster(
                 3, base_port=19950, seed=6, inbox_capacity_units=capacity,
+                trace=TraceLog(),
             )
             try:
                 # No await between the submits: members 0 and 1 each put 8
@@ -695,6 +698,62 @@ class TestDefaultTrace:
         members = run(scenario())
         assert isinstance(members[0].trace, FlightRecorder)
         assert members[0].trace is members[1].trace
+
+
+async def paced_run(base_port, trace=None, n=4, rounds=25):
+    """``rounds`` rounds of one broadcast per member, 5 ms apart, then
+    quiescence: a short paced ``udp_cluster(n)`` run."""
+    members = await udp_cluster(n, base_port=base_port, seed=13, trace=trace)
+    try:
+        for round_ in range(rounds):
+            for member in members:
+                member.broadcast(f"p{member.index}.{round_}".encode())
+            await asyncio.sleep(0.005)
+        await quiesce(members)
+    finally:
+        await stop_all(members)
+    for member in members:
+        assert len(member.delivered) == n * rounds
+    return members
+
+
+def delivered_pairs(members):
+    """Every delivered (member, source, seq) triple."""
+    return {(m.index, d.src, d.seq) for m in members for d in m.delivered}
+
+
+class TestRecordsPerDeliveredPair:
+    def test_default_ring_keeps_at_most_one_record_per_delivered_pair(self):
+        """The ring keeps faults and decisions, not the per-PDU happy path:
+        on a clean paced run that is the hosts' gauge samples."""
+        members = run(paced_run(20300))
+        ring = members[0].trace
+        assert isinstance(ring, FlightRecorder) and ring.evicted == 0
+        assert 0 < ring.recorded_total <= len(delivered_pairs(members))
+        happy = [rec for rec in ring if rec.category in PER_PDU_CATEGORIES
+                 and not (rec.category == "heartbeat" and rec.get("probe"))]
+        assert happy == []
+        assert ring.count("gauge") > 0
+
+    def test_a_tracelog_keeps_one_record_per_phase_per_delivered_pair(self):
+        trace = TraceLog()
+        members = run(paced_run(20310, trace=trace))
+        pairs = delivered_pairs(members)
+        for category in ("accept", "preack", "ack", "deliver"):
+            seen = Counter((rec.entity, rec.get("src"), rec.get("seq"))
+                           for rec in trace.select(category))
+            assert {pair: seen[pair] for pair in pairs} \
+                == dict.fromkeys(pairs, 1), category
+        verify_run(trace, 4).assert_ok()
+
+    def test_inspect_says_what_a_udp_ring_did_not_keep(self, tmp_path):
+        members = run(paced_run(20320, rounds=5))
+        path = members[0].trace.dump_jsonl(str(tmp_path / "ring.jsonl"))
+        text = inspect_path(path)
+        assert "per-PDU records not kept" in text
+        assert "-- phase latencies --" not in text
+        assert "-- PDU census --" not in text
+        assert "gauges" in text
 
 
 class TestLazyClock:

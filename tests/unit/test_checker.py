@@ -109,12 +109,16 @@ def test_recorder_that_shed_records_is_refused_not_misreported():
         verify_run(ring, 2, expect_all_delivered=False)
 
 
-def test_recorder_that_kept_everything_is_verified_normally():
-    full = clean_trace()
-    ring = FlightRecorder(capacity=len(full))
-    for rec in full:
+def test_a_ring_is_refused_even_when_it_shed_nothing():
+    """A ring keeps no per-PDU records, so even one that evicted nothing
+    would verify as 0 sends / 0 deliveries, OK.  The oracle must refuse
+    it and name the complete log instead of passing vacuously."""
+    ring = FlightRecorder(capacity=1000)
+    for rec in clean_trace():
         ring.record(rec.time, rec.category, rec.entity, **rec.details)
-    assert verify_run(ring, 2).ok
+    assert ring.evicted == 0
+    with pytest.raises(IncompleteRecordingError, match=r"TraceLog\(\)"):
+        verify_run(ring, 2)
 
 
 def test_summary_format():

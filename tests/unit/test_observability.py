@@ -7,10 +7,13 @@ counters schema, and the ``repro inspect`` summary.
 
 import json
 
+import pytest
+
 from repro.analysis.recording import inspect_path, summarize_recording
 from repro.cli import main as cli_main
 from repro.core.cluster import build_cluster
 from repro.core.config import ProtocolConfig
+from repro.core.errors import ConfigurationError
 from repro.net.loss import TargetedLoss
 from repro.metrics.collector import (
     collect_lifecycles,
@@ -56,6 +59,7 @@ class TestFlightRecorder:
         recorder.record(0.0, "accept", 0)
         meta = recorder.meta()
         assert meta["kind"] == "flight-recorder"
+        assert meta["per_pdu"] is False
         assert meta["capacity"] == 3
         assert meta["records"] == 1
         assert meta["evicted"] == 0
@@ -66,14 +70,11 @@ class TestFlightRecorder:
         assert len(recorder) == 0
         assert recorder.recorded_total == 0
 
-    def test_drop_in_for_tracelog_in_a_cluster_run(self):
-        recorder = FlightRecorder(capacity=200)
-        cluster = run_small_cluster(trace=recorder)
-        assert len(recorder) <= 200
-        assert recorder.recorded_total > 200  # the run outgrew the ring
-        assert recorder.evicted == recorder.recorded_total - 200
-        # Quiescence detection survived the ring (absolute cursor would not).
-        assert all(len(cluster.delivered(i)) == 12 for i in range(3))
+    def test_a_simulated_cluster_refuses_a_ring(self):
+        """Quiescence detection judges progress from the per-PDU records a
+        ring does not keep: the cluster refuses it at build time."""
+        with pytest.raises(ConfigurationError, match=r"TraceLog\(\)"):
+            build_cluster(3, trace=FlightRecorder(capacity=200))
 
 
 class TestJsonlRoundTrip:
@@ -225,7 +226,7 @@ class TestGaugesAndCounters:
 
 class TestInspect:
     def _record(self, tmp_path):
-        recorder = FlightRecorder(capacity=50_000)
+        recorder = TraceLog()
         run_small_cluster(trace=recorder)
         path = str(tmp_path / "run.jsonl")
         recorder.dump_jsonl(path)
@@ -256,7 +257,7 @@ class TestInspect:
         assert "records: 0" in text
 
     def test_repair_section_present_when_repair_ran(self, tmp_path):
-        recorder = FlightRecorder(capacity=50_000)
+        recorder = TraceLog()
         config = ProtocolConfig(
             suspect_timeout=0.05, anti_entropy_interval=0.01,
             delta_sync_threshold=6,
