@@ -24,7 +24,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, Generic, Iterator, List, Optional, TypeVar, Union
 
-from repro.core.causality import cpi_position, fold_follow_index
+from repro.core.causality import fold_follow_index
+from repro.core.errors import ProtocolError
 from repro.core.pdu import DataPdu
 
 T = TypeVar("T")
@@ -119,9 +120,10 @@ class CausalLog:
             self._items.append(p)
             self.fast_appends += 1
         else:
-            index = cpi_position(self._items, p)
-            self._items.insert(index, p)
-            self.scan_inserts += 1
+            raise ProtocolError(
+                f"PRL insert of {p.pdu_id} is not an append: the PACK "
+                "dependency gate let a causal successor in first"
+            )
         fold_follow_index(high, p)
         return index
 
