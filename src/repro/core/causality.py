@@ -26,12 +26,15 @@ The **CPI operation** (``L < p``) inserts a PDU into a causality-preserved
 log keeping it causality-preserved.  Because ``≺`` on the PDUs of a single
 consistent execution is a strict partial order and the log is already
 topologically sorted, inserting before the first entry that causally follows
-``p`` is correct (proof sketch in :func:`cpi_position`).
+``p`` is correct (proof sketch in :func:`cpi_position`).  The engine never
+scans: its PACK dependency gate makes every insert an append
+(:class:`repro.core.logs.CausalLog`), and :func:`cpi_insert` stays as the
+paper's definition that the tests hold that append to.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import Iterable, List, Protocol, Sequence, Tuple, runtime_checkable
 
 
 @runtime_checkable
@@ -85,11 +88,7 @@ def ack_vectors_consistent(p: SequencedPdu, q: SequencedPdu) -> bool:
     return all(pa <= qa for pa, qa in zip(p.ack, q.ack))
 
 
-def cpi_position(
-    log: Sequence[SequencedPdu],
-    p: SequencedPdu,
-    high: Optional[Sequence[int]] = None,
-) -> int:
+def cpi_position(log: Sequence[SequencedPdu], p: SequencedPdu) -> int:
     """Index at which CPI inserts ``p`` into causality-preserved ``log``.
 
     Returns the first index ``i`` with ``p ≺ log[i]``; if none, ``len(log)``
@@ -103,38 +102,11 @@ def cpi_position(
       that ``log`` was causality-preserved (``k`` after ``i``).
 
     Hence inserting at ``i`` keeps the log causality-preserved.
-
-    ``high`` is an optional seq index over the log (maintained by
-    :func:`fold_follow_index` / :class:`repro.core.logs.CausalLog`):
-    ``high[s]`` bounds every resident entry's knowledge of source ``s``
-    from above — ``q.seq`` for ``q.src == s``, else ``q.ack[s]``.  By
-    Theorem 4.1 an entry ``q`` causally follows ``p`` exactly when its
-    knowledge of ``p.src`` exceeds ``p.seq``, so ``high[p.src] <= p.seq``
-    proves *no* entry follows ``p`` and the append position is returned in
-    O(1), without scanning.  A stale (over-approximate) index is sound: it
-    can only miss the fast path, never take it wrongly.
     """
-    if high is not None and high[p.src] <= p.seq:
-        return len(log)
     for i, q in enumerate(log):
         if causally_precedes(p, q):
             return i
     return len(log)
-
-
-def fold_follow_index(high: List[int], p: SequencedPdu) -> None:
-    """Fold ``p`` into a seq index usable as :func:`cpi_position`'s ``high``.
-
-    After the fold, ``high[s] >= p``'s knowledge of every source ``s``
-    (``p.seq`` for ``s == p.src``, ``p.ack[s]`` otherwise), keeping the
-    index an upper bound over all entries folded so far.  Removals need no
-    downdate — an over-approximate bound stays sound.
-    """
-    for s, a in enumerate(p.ack):
-        if a > high[s]:
-            high[s] = a
-    if p.seq > high[p.src]:
-        high[p.src] = p.seq
 
 
 def cpi_insert(log: List[SequencedPdu], p: SequencedPdu) -> int:
@@ -144,20 +116,16 @@ def cpi_insert(log: List[SequencedPdu], p: SequencedPdu) -> int:
     return index
 
 
-def is_causality_preserved(log: Sequence[SequencedPdu]) -> bool:
+def is_causality_preserved(log: Iterable[SequencedPdu]) -> bool:
     """Is ``log`` causality-preserved (§2.2)?
 
     True iff no later entry causally precedes an earlier one.  O(m²) — used
     by tests and oracles, not by the protocol's hot path.
     """
-    for i, earlier in enumerate(log):
-        for later in log[i + 1:]:
+    items = list(log)
+    for i, earlier in enumerate(items):
+        for later in items[i + 1:]:
             if causally_precedes(later, earlier):
                 return False
     return True
 
-
-def causal_sort_key_insert(log: List[SequencedPdu], pdus: Sequence[SequencedPdu]) -> None:
-    """CPI-insert a batch of PDUs, preserving the log property throughout."""
-    for p in pdus:
-        cpi_insert(log, p)

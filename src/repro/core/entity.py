@@ -144,9 +144,10 @@ class EntityCounters:
     #: Times a sublog head satisfied the PACK threshold but had to wait for
     #: a causal predecessor from another source (the dependency gate).
     pack_dep_blocks: int = 0
-    #: PRL insertions proven to be appends by the seq index (no log scan).
+    #: PRL appends, equal to ``preacknowledged``.  Last reader:
+    #: benchmarks/e2e/layers.py.
     cpi_fast_appends: int = 0
-    #: PRL insertions that fell back to the linear CPI scan.
+    #: Always 0: PRL never scans.  Last reader: benchmarks/e2e/layers.py.
     cpi_scan_inserts: int = 0
     #: Timer-driven RET re-requests (the backed-off retries).
     ret_retries: int = 0
@@ -310,7 +311,7 @@ class COEntity:
         self.flow = FlowController(config, self.state)
         self.sl = SendingLog()
         self.rrl = ReceiptSublogs(n)
-        #: Pre-acknowledged log, kept causality-ordered by CPI.
+        #: Pre-acknowledged log in causality order; the PACK gate makes CPI an append.
         self.prl: CausalLog = CausalLog()
         self.gaps = GapTracker(
             n,
@@ -1632,7 +1633,7 @@ class COEntity:
     # Pre-acknowledgment and acknowledgment (§4.4, §4.5)
     # ------------------------------------------------------------------
     def _pack_action(self) -> None:
-        """Move PDUs satisfying the PACK condition from RRL to PRL via CPI.
+        """Move PDUs satisfying the PACK condition from RRL to the tail of PRL.
 
         Beyond the paper's PACK condition (``p.seq < minAL_{p.src}``), a PDU
         only moves once **every causal predecessor it names has moved**
@@ -1662,9 +1663,11 @@ class COEntity:
         unmet predecessor and is re-queued when that floor rises (then
         re-parks on the next unmet one, if any), so the worklist reaches
         exactly the moves the fixpoint reached — see DESIGN.md,
-        "incremental PACK scan".  All newly pre-acknowledged PDUs are
-        CPI-inserted before any delivery decision runs, so a mid-batch
-        delivery can never jump a predecessor.
+        "incremental PACK scan".  Because a PDU moves only after the
+        predecessors it names, the paper's CPI always lands at the tail of
+        PRL: the move is an append.  All newly pre-acknowledged PDUs are in
+        PRL before any delivery decision runs, so a mid-batch delivery can
+        never jump a predecessor.
 
         The paper's PAL rule — a pre-acknowledged PDU's ACK vector certifies
         what its sender had accepted — folds one vector per source per pass:
@@ -1710,8 +1713,7 @@ class COEntity:
                 p = rrl.top(j)
         if newly:
             self.counters.preacknowledged += len(newly)
-            self.counters.cpi_fast_appends = prl.fast_appends
-            self.counters.cpi_scan_inserts = prl.scan_inserts
+            self.counters.cpi_fast_appends += len(newly)
             for j, vectors in acks.items():
                 self.state.merge_pal(
                     j, vectors[0] if len(vectors) == 1 else tuple(map(max, *vectors)),
@@ -1719,7 +1721,9 @@ class COEntity:
             # Our own PAL row is our own (true) pre-acknowledgment floor.
             self.state.merge_pal(self.index, tuple(floor))
             if self.config.delivery_level is DeliveryLevel.PREACKNOWLEDGED:
-                self._deliver_batch_in_prl_order(newly)
+                # ``newly`` is PRL order: every insert above was an append.
+                for p in newly:
+                    self._deliver(p)
         self._ack_action()
 
     def _first_unmet_dep(self, p: DataPdu) -> Optional[int]:
@@ -1739,15 +1743,6 @@ class COEntity:
             if j != src and ack[j] > floor[j]:
                 return j
         return None
-
-    def _deliver_batch_in_prl_order(self, batch: List[DataPdu]) -> None:
-        """PREACKNOWLEDGED ablation: deliver a freshly pre-acked batch in
-        PRL (causality) order.  Safe because every causal predecessor of a
-        batch member is already in PRL or acknowledged (Proposition 4.3)."""
-        members = {p.pdu_id for p in batch}
-        for p in self.prl:
-            if p.pdu_id in members:
-                self._deliver(p)
 
     def _ack_action(self) -> None:
         """Acknowledge the PRL prefix satisfying the ACK condition; deliver.

@@ -7,9 +7,11 @@ PDUs.  Each CO entity maintains:
   sequence number so RET requests can be answered;
 * ``RRL_j`` (:class:`ReceiptSublogs`) — one FIFO per source holding PDUs
   *accepted* but not yet pre-acknowledged;
-* ``PRL`` (:class:`CausalLog`) — pre-acknowledged PDUs kept in causality
-  order by the CPI operation, with an O(1) head pop and a seq-indexed
-  append fast path.
+* ``PRL`` (:class:`CausalLog`) — pre-acknowledged PDUs in causality
+  order.  The paper keeps it sorted with the CPI operation; the engine's
+  PACK dependency gate makes every CPI an append, so ``PRL`` is a FIFO
+  and :func:`~repro.core.causality.cpi_insert` remains the definition the
+  tests hold it to.
 
 The paper's fourth log, ``ARL`` (acknowledged PDUs), is not kept: a PDU
 is released on delivery, and the engine records only the per-source
@@ -22,10 +24,8 @@ frontier of what it acknowledged (DESIGN.md §21).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Generic, Iterator, List, Optional, TypeVar, Union
+from typing import Deque, Dict, Generic, Iterator, List, Optional, TypeVar
 
-from repro.core.causality import fold_follow_index
-from repro.core.errors import ProtocolError
 from repro.core.pdu import DataPdu
 
 T = TypeVar("T")
@@ -80,88 +80,26 @@ class Log(Generic[T]):
         return f"Log({list(self._items)!r})"
 
 
-class CausalLog:
-    """``PRL``: a causality-preserved log built for the protocol hot path.
+class CausalLog(Log[DataPdu]):
+    """``PRL``: the pre-acknowledged PDUs, in causality order, as a FIFO.
 
-    Semantically a plain CPI-maintained sequence (it compares equal to the
-    equivalent list and supports the same reads), but engineered for the
-    two operations the acknowledgment pipeline performs per PDU:
-
-    * :meth:`insert` — the paper's ``L < p``, with a seq-indexed fast path:
-      the log maintains a per-source ``high`` bound on resident entries'
-      knowledge (see :func:`~repro.core.causality.fold_follow_index`), so
-      when nothing resident can causally follow ``p`` the insert is proven
-      to be an append in O(n) — no scan of the log.  Because the engine
-      only pre-acknowledges a PDU after all its causal predecessors (the
-      PACK dependency gate), *every* protocol insert takes this path; the
-      linear-scan fallback remains for adversarial or test-built inputs.
-    * :meth:`popleft` — the ACK action's head removal, O(1) on the deque
-      (``list.pop(0)`` was O(m) in the resident-log size).
-
-    ``fast_appends`` / ``scan_inserts`` count which path each insert took;
-    the engine surfaces them as hot-path counters.
+    The paper keeps ``PRL`` sorted by ``≺`` with the CPI operation
+    (:func:`~repro.core.causality.cpi_insert`).  The engine's PACK
+    dependency gate pre-acknowledges a PDU only after every predecessor
+    its ACK vector names, and by Theorem 4.1 those are all the PDUs that
+    causally precede it, so nothing resident can follow a new entry and
+    CPI always appends: :meth:`insert` is ``enqueue`` and the ACK action's
+    :meth:`popleft` is ``dequeue``.  Compares equal to the list of its
+    entries.
     """
 
-    def __init__(self, items: Optional[List[DataPdu]] = None):
-        self._items: Deque[DataPdu] = deque()
-        self._high: Optional[List[int]] = None
-        self.fast_appends = 0
-        self.scan_inserts = 0
-        for p in items or []:
-            self.insert(p)
-
-    def insert(self, p: DataPdu) -> int:
-        """CPI-insert ``p``; returns the insertion index."""
-        high = self._high
-        if high is None:
-            high = self._high = [0] * len(p.ack)
-        if high[p.src] <= p.seq:
-            index = len(self._items)
-            self._items.append(p)
-            self.fast_appends += 1
-        else:
-            raise ProtocolError(
-                f"PRL insert of {p.pdu_id} is not an append: the PACK "
-                "dependency gate let a causal successor in first"
-            )
-        fold_follow_index(high, p)
-        return index
-
-    def popleft(self) -> DataPdu:
-        """Remove and return the head (the ACK action's removal), O(1)."""
-        return self._items.popleft()
-
-    @property
-    def top(self) -> Optional[DataPdu]:
-        """``top(L)``: the head of the log, or ``None`` when empty."""
-        return self._items[0] if self._items else None
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __bool__(self) -> bool:
-        return bool(self._items)
-
-    def __iter__(self) -> Iterator[DataPdu]:
-        return iter(self._items)
-
-    def __getitem__(self, index: Union[int, slice]) -> Union[DataPdu, List[DataPdu]]:
-        if isinstance(index, slice):
-            return list(self._items)[index]
-        return self._items[index]
+    insert = Log.enqueue
+    popleft = Log.dequeue
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, CausalLog):
-            return self._items == other._items
-        if isinstance(other, (list, tuple, deque)):
-            return list(self._items) == list(other)
+        if isinstance(other, (Log, list, tuple, deque)):
+            return list(self) == list(other)
         return NotImplemented
-
-    def as_list(self) -> List[DataPdu]:
-        return list(self._items)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"CausalLog({list(self._items)!r})"
 
 
 class SendingLog:

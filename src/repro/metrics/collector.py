@@ -212,23 +212,16 @@ def hot_path_stats(entity_counters: Dict[str, int]) -> Dict[str, float]:
     * ``pack_source_scans_per_accept`` — receipt sublogs examined per
       accepted PDU.  The event-driven scan visits only *dirty* sources, so
       this stays O(1)-ish; the old fixpoint visited all n every time.
-    * ``cpi_fast_append_ratio`` — fraction of PRL insertions proven to be
-      appends by the seq index without scanning the log (1.0 when the
-      dependency-gated PACK order holds, which it always should).
     * ``dep_blocks_per_preack`` — how often a sublog head had to wait for a
       causal predecessor from another source.
     """
     accepted = entity_counters.get("accepted", 0)
     preacked = entity_counters.get("preacknowledged", 0)
-    fast = entity_counters.get("cpi_fast_appends", 0)
-    scanned = entity_counters.get("cpi_scan_inserts", 0)
-    inserts = fast + scanned
     return {
         "pack_source_scans": float(entity_counters.get("pack_source_scans", 0)),
         "pack_source_scans_per_accept": (
             entity_counters.get("pack_source_scans", 0) / accepted if accepted else 0.0
         ),
-        "cpi_fast_append_ratio": (fast / inserts) if inserts else 0.0,
         "dep_blocks_per_preack": (
             entity_counters.get("pack_dep_blocks", 0) / preacked if preacked else 0.0
         ),

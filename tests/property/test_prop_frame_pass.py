@@ -124,8 +124,7 @@ class PerPduEntity(COEntity):
                 self._trace.record(
                     self._now, "preack", self.index, src=p.src, seq=p.seq,
                 )
-            self.counters.cpi_fast_appends = self.prl.fast_appends
-            self.counters.cpi_scan_inserts = self.prl.scan_inserts
+            self.counters.cpi_fast_appends += len(newly)
             self.state.merge_pal(self.index, tuple(self._preack_floor))
         self._ack_action()
 

@@ -152,42 +152,3 @@ class TestIsCausalityPreserved:
         q = pdu(1, 1, (3, 1, 1))  # sent after receiving p
         assert is_causality_preserved([g, p, q])
         assert not is_causality_preserved([g, q, p])
-
-
-class TestFollowIndex:
-    """The seq index behind CausalLog's O(1) append fast path."""
-
-    def test_fold_tracks_knowledge_upper_bound(self):
-        from repro.core.causality import fold_follow_index
-
-        high = [0, 0, 0]
-        fold_follow_index(high, C)          # src 0, seq 2, ack (2, 1, 1)
-        assert high == [2, 1, 1]
-        fold_follow_index(high, D)          # src 1, seq 1, ack (3, 1, 2)
-        assert high == [3, 1, 2]
-
-    def test_high_proves_append_in_o1(self):
-        from repro.core.causality import fold_follow_index
-
-        high = [0, 0, 0]
-        log = [A, C]
-        for p in log:
-            fold_follow_index(high, p)
-        # Nothing resident knows of seq 3 from source 0, so E (seq 3) is
-        # provably unprecedented by any entry: append without scanning.
-        assert high[E.src] <= E.seq
-        assert cpi_position(log, E, high=high) == len(log)
-
-    def test_stale_high_is_sound_never_wrong(self):
-        from repro.core.causality import fold_follow_index
-
-        high = [0, 0, 0]
-        for p in (A, C, D):
-            fold_follow_index(high, p)
-        log = [D]                           # A and C were popped; index stale
-        # The stale bound blocks the fast path for a PDU D knows about ...
-        assert high[C.src] > C.seq
-        # ... and the scan still finds the correct (causality-safe) slot.
-        assert cpi_position(log, C, high=high) == 0
-        # A fresher PDU is unaffected: the fast path still fires.
-        assert cpi_position(log, F, high=high) == 1

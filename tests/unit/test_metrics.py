@@ -182,12 +182,9 @@ class TestHotPathStats:
             "preacknowledged": 50,
             "pack_source_scans": 120,
             "pack_dep_blocks": 5,
-            "cpi_fast_appends": 48,
-            "cpi_scan_inserts": 2,
         })
         assert stats["pack_source_scans"] == 120.0
         assert stats["pack_source_scans_per_accept"] == pytest.approx(1.2)
-        assert stats["cpi_fast_append_ratio"] == pytest.approx(0.96)
         assert stats["dep_blocks_per_preack"] == pytest.approx(0.1)
 
     def test_tolerates_pre_counter_snapshots(self):
@@ -198,7 +195,6 @@ class TestHotPathStats:
         assert stats == {
             "pack_source_scans": 0.0,
             "pack_source_scans_per_accept": 0.0,
-            "cpi_fast_append_ratio": 0.0,
             "dep_blocks_per_preack": 0.0,
             "ret_retries": 0.0,
         }
