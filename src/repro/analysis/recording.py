@@ -71,7 +71,7 @@ def summarize_recording(
     """The full text summary of one recording."""
     meta = meta or {}
     bucket = bucket if bucket is not None else _auto_bucket(trace)
-    if meta.get("per_pdu", True):
+    if trace.keeps_per_pdu:
         per_pdu = [_latency_section(trace), _census_section(trace)]
     else:
         per_pdu = ["per-PDU records not kept (a bounded ring keeps faults and "

@@ -254,7 +254,9 @@ def load_jsonl(path: str) -> Tuple["TraceLog", Dict[str, Any]]:
 
     The returned log is a plain :class:`TraceLog` regardless of whether a
     bounded :class:`FlightRecorder` wrote it — the bound matters when
-    recording, not when analysing.
+    recording, not when analysing.  What the writer kept does matter: the
+    log's :attr:`~TraceLog.keeps_per_pdu` is the meta's ``per_pdu``, so a
+    ring's recording is refused by ``verify_run`` as the live ring is.
     """
     log = TraceLog()
     meta: Dict[str, Any] = {}
@@ -268,6 +270,7 @@ def load_jsonl(path: str) -> Tuple["TraceLog", Dict[str, Any]]:
                 meta = obj["meta"]
                 continue
             log.record(obj["t"], obj["cat"], obj["e"], **obj.get("d", {}))
+    log.keeps_per_pdu = meta.get("per_pdu", True)
     return log, meta
 
 

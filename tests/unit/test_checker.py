@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.errors import DeliveryOrderError, IncompleteRecordingError
 from repro.ordering.checker import count_causal_anomalies, verify_run
-from repro.sim.trace import FlightRecorder, TraceLog
+from repro.sim.trace import FlightRecorder, TraceLog, load_jsonl
 
 
 def clean_trace():
@@ -119,6 +119,21 @@ def test_a_ring_is_refused_even_when_it_shed_nothing():
     assert ring.evicted == 0
     with pytest.raises(IncompleteRecordingError, match=r"TraceLog\(\)"):
         verify_run(ring, 2)
+
+
+def test_a_ring_recording_loaded_back_is_still_refused(tmp_path):
+    """The refusal travels with the file: a ring's JSONL recording loads
+    as a log that keeps no per-PDU records, while a complete log's
+    recording loads back verifiable."""
+    ring, full = FlightRecorder(capacity=1000), TraceLog()
+    for rec in clean_trace():
+        ring.record(rec.time, rec.category, rec.entity, **rec.details)
+        full.record(rec.time, rec.category, rec.entity, **rec.details)
+    loaded_ring, _ = load_jsonl(ring.dump_jsonl(str(tmp_path / "ring.jsonl")))
+    with pytest.raises(IncompleteRecordingError):
+        verify_run(loaded_ring, 2)
+    loaded_full, _ = load_jsonl(full.dump_jsonl(str(tmp_path / "full.jsonl")))
+    verify_run(loaded_full, 2).assert_ok()
 
 
 def test_summary_format():
