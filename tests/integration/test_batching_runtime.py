@@ -101,7 +101,7 @@ class TestUdpBatching:
     def test_batched_traffic_over_loopback(self):
         async def scenario():
             members = await udp_cluster(
-                3, base_port=19960, seed=4, trace=TraceLog(),
+                3, base_port=20070, seed=4, trace=TraceLog(),
                 config=ProtocolConfig(
                     tick_interval=2e-3, deferred_interval=4e-3,
                     ret_timeout=10e-3, batch_max_pdus=4,

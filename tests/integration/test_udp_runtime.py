@@ -244,7 +244,7 @@ class TestUdpCluster:
         assert [m.data for m in members[1].delivered] == [b"real"]
 
     @pytest.mark.parametrize("src, width, port", [
-        pytest.param(7, 2, 19960, id="src-outside-cluster"),
+        pytest.param(7, 2, 20060, id="src-outside-cluster"),
         pytest.param(0, 5, 19964, id="vectors-longer-than-n"),
     ])
     def test_frame_the_engine_raises_on_does_not_strand_the_burst(
@@ -576,7 +576,7 @@ class TestRunToCompletion:
 
     def test_bind_failure_releases_the_members_already_started(self):
         async def scenario():
-            base = 20050
+            base = 20080
             squatter = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
             squatter.bind(("127.0.0.1", base + 2))
             try:
