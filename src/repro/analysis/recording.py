@@ -195,8 +195,9 @@ def _timeline_section(trace: TraceLog, bucket: float) -> str:
     lines = [f"-- event timelines (bucket = {bucket * 1e3:.3f} ms) --"]
     width = max(len(c) for c in TIMELINE_CATEGORIES)
     any_rows = False
+    start = _span(trace)[0]  # one time axis for every row
     for category in TIMELINE_CATEGORIES:
-        series = event_rate_series(trace, category, bucket)
+        series = event_rate_series(trace, category, bucket, start=start)
         if series.total == 0:
             continue
         any_rows = True
@@ -212,10 +213,12 @@ def _gauge_section(trace: TraceLog, bucket: float) -> str:
     if not entities:
         return ""
     lines = [f"-- gauges (bucket = {bucket * 1e3:.3f} ms) --"]
+    start = _span(trace)[0]
     for key in GAUGE_KEYS:
         shown = False
         for entity in entities:
-            series = gauge_series(trace, key, bucket, entity=entity)
+            series = gauge_series(trace, key, bucket, entity=entity,
+                                  start=start)
             if not series.values or series.peak == 0:
                 continue
             if not shown:

@@ -2,156 +2,34 @@
 
 The simulator passes PDU objects by reference, but an open-source release
 of the protocol needs a concrete encoding; this module provides one, and
-the round-trip property tests pin it down.  Layout (network byte order):
+the round-trip property tests pin it down.
 
-Data PDU (Figure 4)::
+Every frame is ``u8 type | u8 flags | fields | u32 CRC-32``, in network
+byte order.  :data:`_LAYOUTS` is the one description of the fields: a row
+per PDU type gives its type byte, what its flags byte carries, and its
+fields in wire order.  One bounds-checked decoder reads that table, and
+each row's encoder, which also sizes the frame, is generated from it at
+import.  A row's field string is one ``name:kind`` per field:
 
-    u8  type = 0x01
-    u8  flags          bit 0: null (confirmation-only) PDU
-    u32 cid
-    u16 src
-    u32 seq
-    u16 n              length of the ACK vector
-    u32 ack[n]
-    u32 buf
-    u32 payload_len    0 for null PDUs
-    ..  payload        raw bytes (the application's serialisation)
+* ``cid:I`` / ``src:H`` — a u32 / u16 scalar attribute of the PDU;
+* ``n:#`` — a u16 count.  It is not an attribute: the encoder writes the
+  length of the first field it sizes, and the decoder sizes every field
+  that names it by the value it reads;
+* ``ack:I*n`` / ``members:H*m`` / ``ranges:HII*r`` — ``n`` u32 entries,
+  ``m`` u16 entries, ``r`` ``(u16 lsrc, u32 lo, u32 hi)`` triples;
+* ``data:payload`` — ``u32 length`` then raw bytes: the attributes
+  ``data`` (``None`` when the flags say null) and ``data_size``;
+* ``frame:body`` / ``pdus:body*count`` — one / ``count`` nested PDU
+  bodies, each ``u32 length`` then a frame of a type the row's
+  ``carries`` names, without a CRC of its own (the frame's covers it).
 
-RET PDU (Figure 5)::
-
-    u8  type = 0x02
-    u8  flags = 0
-    u32 cid
-    u16 src
-    u16 lsrc
-    u32 lseq
-    u16 n
-    u32 ack[n]
-    u32 buf
-
-Heartbeat (quiescence/membership extension)::
-
-    u8  type = 0x03
-    u8  flags          bit 0: probe
-    u32 cid
-    u16 src
-    u16 n
-    u32 ack[n]
-    u32 pack[n]
-    u32 buf
-    u32 view
-
-View-change PDU (membership extension)::
-
-    u8  type = 0x04
-    u8  phase          0: propose, 1: agree, 2: install
-    u32 cid
-    u16 src
-    u32 view
-    u16 m              member-set size
-    u16 n              ACK-vector length
-    u16 f              flush-vector length (0 except install)
-    u16 members[m]
-    u32 ack[n]
-    u32 flush[f]
-    u32 buf
-
-Join PDU::
-
-    u8  type = 0x05
-    u8  flags          bit 0: ready (snapshot applied)
-    u32 cid
-    u16 src
-    u32 buf
-
-State-snapshot PDU (O(n): the frontier ``ack`` stands for every id the
-joiner will never be handed, docs/PROTOCOL.md §11)::
-
-    u8  type = 0x06
-    u8  flags = 0
-    u32 cid
-    u16 src
-    u16 joiner
-    u32 view
-    u16 m              member-set size
-    u16 n              vector length
-    u16 members[m]
-    u32 ack[n]
-    u32 pack[n]
-    u32 buf
-
-Batch frame (batching extension, docs/PROTOCOL.md §14)::
-
-    u8  type = 0x07
-    u8  flags = 0
-    u32 cid
-    u16 src
-    u16 n              vector length
-    u16 count          inner data-PDU count (0 = pure-confirmation frame)
-    u32 ack[n]
-    u32 pack[n]
-    u32 buf
-    (u32 body_len, body) * count   each body a type-0x01 data-PDU body
-                                   (no per-PDU checksum; one frame CRC)
-
-Anti-entropy digest (repair extension, docs/PROTOCOL.md §15)::
-
-    u8  type = 0x08
-    u8  flags = 0
-    u32 cid
-    u16 src
-    u16 target
-    u32 view
-    u16 n              vector length
-    u32 ack[n]
-    u32 delivered[n]
-    u32 buf
-
-Repair-pull PDU::
-
-    u8  type = 0x09
-    u8  flags = 0
-    u32 cid
-    u16 src
-    u16 target
-    u16 n              ACK-vector length
-    u16 r              range count
-    u32 ack[n]
-    (u16 lsrc, u32 lo, u32 hi) * r
-    u32 buf
-
-Relay frame (dissemination extension, docs/PROTOCOL.md §16)::
-
-    u8  type = 0x0A
-    u8  flags = 0
-    u32 cid
-    u16 src
-    u16 h              path length (hop count, >= 1)
-    u16 n              vector length
-    u16 path[h]
-    u32 min_ack[n]
-    u32 min_pack[n]
-    u32 buf
-    u32 body_len
-    ..  body           the origin's frame: a type-0x01 or 0x07 body
-                       (no inner checksum; one frame CRC)
-
-Inter-group frame (hierarchy tier, docs/PROTOCOL.md §18)::
-
-    u8  type = 0x0B
-    u8  flags          bit 0: ack (cumulative re-injection floor)
-                       bit 1: null payload (None, not the empty string)
-    u32 cid
-    u16 origin_group
-    u16 sender_group
-    u16 src            global origin entity id (0 for acks)
-    u32 seq            origin-local sequence number (0 for acks)
-    u32 gseq           group-stream sequence number / acked floor
-    u16 g              barrier length (the group count G; 0 for acks)
-    u32 barrier[g]
-    u32 buf
-    u32 payload_len    0 for acks
-    ..  payload
+A row lists its leading scalars, its counts, its vectors, its trailing
+scalars and at most one length-prefixed tail, in that order, which is
+also the order on the wire.  For each shape (row, counts) the fixed part
+is one cached ``struct.Struct``; the decoder checks the header, then the
+fixed part the counts imply, then every length it reads, against the
+bytes it holds before it reads them, and it checks a nested body's type
+byte against the row's ``carries`` before it parses the body.
 
 Every frame ends in a ``u32`` CRC-32 of everything before it.  The MC
 medium itself is error-free in the paper's model, but real transports (and
@@ -164,7 +42,7 @@ decoded back to ``bytes`` — the codec does not guess application types).
 Hot-path mechanics
 ------------------
 
-The wire format above is frozen (tests/unit/test_codec_golden.py pins
+The wire format is frozen (tests/unit/test_codec_golden.py pins
 byte-identical frames), but the implementation assembles frames with
 ``struct.pack_into`` over a reusable module-level scratch ``bytearray``
 instead of concatenating per-field ``bytes`` — one output allocation per
@@ -181,9 +59,12 @@ callers.
 
 from __future__ import annotations
 
+import dataclasses
 import struct
 import zlib
 from dataclasses import replace
+from itertools import chain
+from operator import itemgetter, mul
 from typing import Any, Dict, Optional, Union
 
 from repro.core.errors import ReproError
@@ -201,29 +82,15 @@ from repro.core.pdu import (
     ViewChangePdu,
 )
 
-_TYPE_DATA = 0x01
-_TYPE_RET = 0x02
-_TYPE_HEARTBEAT = 0x03
-_TYPE_VIEWCHANGE = 0x04
-_TYPE_JOIN = 0x05
-_TYPE_STATE = 0x06
-_TYPE_BATCH = 0x07
-_TYPE_DIGEST = 0x08
-_TYPE_REPAIR_PULL = 0x09
-_TYPE_RELAY = 0x0A
-_TYPE_INTERGROUP = 0x0B
-
-_FLAG_NULL = 0x01
-_FLAG_PROBE = 0x01
-_FLAG_READY = 0x01
-_FLAG_IG_ACK = 0x01
-_FLAG_IG_NULL = 0x02
-
-_PHASE_CODES = {"propose": 0, "agree": 1, "install": 2}
-_PHASE_NAMES = {code: name for name, code in _PHASE_CODES.items()}
+#: A view-change PDU's flags byte is its phase's index here.
+_PHASES = ("propose", "agree", "install")
 
 #: Trailing CRC-32 length in bytes.
 _CRC_BYTES = 4
+
+#: Shapes cached per row.  Counts come off the wire, so the cache is
+#: bounded like ``_VIEW_CACHE``: a stream of distinct counts refills it.
+_SHAPE_CACHE = 64
 
 AnyPdu = Union[
     DataPdu, RetPdu, HeartbeatPdu, ViewChangePdu, JoinPdu, StatePdu, BatchPdu,
@@ -232,44 +99,11 @@ AnyPdu = Union[
 
 Buffer = Union[bytes, bytearray, memoryview]
 
+_S_U32 = struct.Struct("!I")
+
 
 class CodecError(ReproError, ValueError):
     """Malformed bytes, or a PDU the codec cannot represent."""
-
-
-# Precompiled fixed headers (struct.Struct avoids re-parsing format strings
-# on every frame) and per-length vector formats, cached by length.
-_S_DATA = struct.Struct("!BBIHIH")
-_S_DATA_TAIL = struct.Struct("!II")
-_S_RET = struct.Struct("!BBIHHIH")
-_S_HEARTBEAT = struct.Struct("!BBIHH")
-_S_VIEWCHANGE = struct.Struct("!BBIHIHHH")
-_S_JOIN = struct.Struct("!BBIHI")
-_S_STATE = struct.Struct("!BBIHHIHH")
-_S_BATCH = struct.Struct("!BBIHHH")
-_S_DIGEST = struct.Struct("!BBIHHIH")
-_S_REPAIR_PULL = struct.Struct("!BBIHHHH")
-_S_RELAY = struct.Struct("!BBIHHH")
-_S_INTERGROUP = struct.Struct("!BBIHHHIIH")
-_S_U32 = struct.Struct("!I")
-_S_RANGE = struct.Struct("!HII")
-
-_VEC_CACHE: Dict[int, struct.Struct] = {}
-_MEM_CACHE: Dict[int, struct.Struct] = {}
-
-
-def _vec(n: int) -> struct.Struct:
-    s = _VEC_CACHE.get(n)
-    if s is None:
-        s = _VEC_CACHE[n] = struct.Struct(f"!{n}I")
-    return s
-
-
-def _mem(m: int) -> struct.Struct:
-    s = _MEM_CACHE.get(m)
-    if s is None:
-        s = _MEM_CACHE[m] = struct.Struct(f"!{m}H")
-    return s
 
 
 def _payload_bytes(data: Any) -> bytes:
@@ -283,6 +117,281 @@ def _payload_bytes(data: Any) -> bytes:
         f"only bytes/str payloads are encodable, got {type(data).__name__} "
         "(serialise application objects before broadcast)"
     )
+
+
+# ----------------------------------------------------------------------
+# The flags byte.  Each row's entry is (PDU -> byte, (byte, tail values)
+# -> tail values + flag values, names of the flag values).
+# ----------------------------------------------------------------------
+
+def _bit(name: str):
+    """Bit 0 is the boolean attribute ``name``."""
+    return (
+        (lambda pdu: 1 if getattr(pdu, name) else 0),
+        (lambda code, tail: (*tail, bool(code & 1))),
+        (name,),
+    )
+
+
+def _unflag_null(code: int, tail: tuple) -> tuple:
+    # bit 0: a null DataPdu (confirmation only, ``data is None``).
+    return (None, tail[1]) if code & 1 else tail
+
+
+def _unflag_phase(code: int, tail: tuple) -> tuple:
+    if code >= len(_PHASES):
+        raise CodecError(f"unknown view-change phase code {code}")
+    return (*tail, _PHASES[code])
+
+
+def _flag_intergroup(pdu: InterGroupPdu) -> int:
+    # bit 0: an ack (cumulative re-injection floor); bit 1: a forward whose
+    # payload is None rather than the empty string.
+    return 1 if pdu.ack else 2 if pdu.data is None else 0
+
+
+def _unflag_intergroup(code: int, tail: tuple) -> tuple:
+    return (None if code & 3 else tail[0]), tail[1], bool(code & 1)
+
+
+_NO_FLAGS = (lambda pdu: 0), (lambda code, tail: tail), ()
+_NULL = (lambda pdu: 1 if pdu.data is None else 0), _unflag_null, ()
+_PHASE = (lambda pdu: _PHASES.index(pdu.phase)), _unflag_phase, ("phase",)
+_INTERGROUP = _flag_intergroup, _unflag_intergroup, ("ack",)
+
+
+# ----------------------------------------------------------------------
+# Encoding: each row's generated ``size`` and ``encode``
+# ----------------------------------------------------------------------
+
+def _row(pdu: AnyPdu) -> "_Layout":
+    layout = _BY_TYPE.get(type(pdu))
+    if layout is None:
+        raise CodecError(f"cannot encode {type(pdu).__name__}")
+    return layout
+
+
+def _body_size(pdu: AnyPdu) -> int:
+    """Exact body length (no CRC trailer), without encoding."""
+    return _row(pdu).size(pdu)
+
+
+def _encode_body_into(pdu: AnyPdu, buf: bytearray, offset: int) -> int:
+    return _row(pdu).encode(pdu, buf, offset)
+
+
+def _nest(inners: tuple, buf: bytearray, offset: int) -> int:
+    """Encode length-prefixed nested bodies at ``offset``; return the end."""
+    for inner in inners:
+        # Reserve the u32 length prefix, encode the body in place, then
+        # backpatch the prefix with the measured body length.
+        start = offset + _S_U32.size
+        offset = _encode_body_into(inner, buf, start)
+        _S_U32.pack_into(buf, start - _S_U32.size, offset - start)
+    return offset
+
+
+#: Source of a row's ``size`` and ``encode``, generated from its fields
+#: (see ``_Layout.compile``); ``{write}`` is one of the two below.
+_ENCODER = """\
+def size(pdu):
+    {reads}
+    counts = ({counts})
+    return (shapes.get(counts) or shape(counts))[0].size{tail_size}
+
+def encode(pdu, buf, offset):
+    {reads}
+    counts = ({counts})
+    fixed = (shapes.get(counts) or shape(counts))[0]
+{write}"""
+_WRITE = """\
+    fixed.pack_into(buf, offset, {args})
+    return {end}"""
+_WRITE_PAYLOAD = """\
+    payload = {tail} if type({tail}) is bytes else payload_bytes({tail})
+    fixed.pack_into(buf, offset, {args}, len(payload))
+    offset += fixed.size
+    buf[offset:offset + len(payload)] = payload
+    return offset + len(payload)"""
+
+
+# ----------------------------------------------------------------------
+# The table
+# ----------------------------------------------------------------------
+
+class _Layout:
+    """One row of the wire table, parsed (see the module docstring)."""
+
+    def __init__(self, kind: int, cls: type, spec: str,
+                 flags=_NO_FLAGS, carries: tuple = ()) -> None:
+        self.kind = kind
+        self.cls = cls
+        self.name = cls.__name__
+        self.flag_bits, self.unflag, flag_names = flags
+        self.carries = carries
+        self.shapes: Dict[tuple, tuple] = {}
+        lead, counts, vectors, trail = [], [], [], []
+        self.tail = self.tail_kind = tail_count = None
+        for token in spec.split():
+            name, _, kind_spec = token.partition(":")
+            fmt, _, count = kind_spec.partition("*")
+            if fmt == "#":
+                counts.append(name)
+            elif fmt in ("payload", "body"):
+                self.tail, self.tail_kind, tail_count = name, fmt, count
+            elif count:
+                vectors.append((name, fmt, count))
+            else:
+                (trail if counts or vectors else lead).append((name, fmt))
+        tokens = [f"{n}:{f}" for n, f in lead] + [f"{n}:#" for n in counts]
+        tokens += [f"{n}:{f}*{c}" for n, f, c in vectors]
+        tokens += [f"{n}:{f}" for n, f in trail]
+        if tokens != spec.split()[:len(tokens)]:
+            raise ValueError(f"{self.name}: fields are not in wire order")
+        self.lead, self.counts_names = lead, counts
+        self.vectors, self.trail = vectors, trail
+        self.head_fmt = "!BB" + "".join(f for _, f in lead) + "H" * len(counts)
+        self.trail_fmt = "".join(f for _, f in trail)
+        if self.tail_kind == "payload":
+            self.trail_fmt += "I"  # the payload's length prefix
+        self.counts = struct.Struct("!" + "H" * len(counts))
+        self.head_size = struct.calcsize(self.head_fmt)
+        self.count_at = self.head_size - self.counts.size
+        self.fixed = self.head_size + struct.calcsize("!" + self.trail_fmt)
+        self.units = [
+            sum(struct.calcsize("!" + f) for _, f, c in vectors if c == name)
+            for name in counts
+        ]
+        self.tail_count = counts.index(tail_count) if tail_count else None
+        # The decoder hands the constructor every value by position: the
+        # wire's fields, then the tail's values, then the flags byte's.
+        self.fields = [f.name for f in dataclasses.fields(cls)]
+        self.after_wire = {
+            None: [], "body": [self.tail],
+            "payload": [self.tail, f"{self.tail}_size"],
+        }[self.tail_kind] + list(flag_names)
+        on_wire = [n for n, _ in lead + trail] + [n for n, _, _ in vectors]
+        if sorted(on_wire + self.after_wire) != sorted(self.fields):
+            raise ValueError(f"{self.name}: the row does not name every field")
+        self.grouped = [(self.fields.index(n), len(f))
+                        for n, f, _ in vectors if len(f) > 1]
+        self.compile(tail_count)
+
+    def compile(self, tail_count: Optional[str]) -> None:
+        """Generate the row's ``size(pdu)`` (the body's length) and
+        ``encode(pdu, buf, offset)`` (writes the body, returns its end).
+
+        They are generated from the fields, as ``dataclasses`` generates
+        ``__init__``: reading a row's vectors and spreading them into one
+        ``pack_into`` through a loop over the fields costs about as much
+        again as the whole encode (DESIGN.md §22).
+        """
+        reads = [n for n, _, _ in self.vectors] + [self.tail] * bool(self.tail)
+        first: Dict[Optional[str], str] = {tail_count: self.tail}
+        for name, _, count in reversed(self.vectors):
+            first[count] = name
+        args = [str(self.kind), "flag_bits(pdu)"]
+        args += [f"pdu.{n}" for n, _ in self.lead] + ["*counts"]
+        args += [f"*_{n}" if len(f) == 1 else f"*chain.from_iterable(_{n})"
+                 for n, f, _ in self.vectors]
+        args += [f"pdu.{n}" for n, _ in self.trail]
+        tail = f"_{self.tail}"
+        inners = tail if tail_count else f"({tail},)"
+        if self.tail_kind == "payload":
+            tail_size = (f" + len({tail} if type({tail}) is bytes"
+                         f" else payload_bytes({tail}))")
+            write = _WRITE_PAYLOAD.format(args=", ".join(args), tail=tail)
+        elif self.tail_kind == "body":
+            tail_size = f" + sum(prefix + body_size(p) for p in {inners})"
+            write = _WRITE.format(args=", ".join(args),
+                                  end=f"nest({inners}, buf, offset + fixed.size)")
+        else:
+            tail_size = ""
+            write = _WRITE.format(args=", ".join(args), end="offset + fixed.size")
+        source = _ENCODER.format(
+            reads="".join(f"_{n}, " for n in reads) + "= "
+            + "".join(f"pdu.{n}, " for n in reads) if reads else "pass",
+            counts="".join(f"len(_{first[c]}), " for c in self.counts_names),
+            tail_size=tail_size, write=write,
+        )
+        namespace = {
+            "shapes": self.shapes, "shape": self.shape, "chain": chain,
+            "flag_bits": self.flag_bits, "payload_bytes": _payload_bytes,
+            "nest": _nest, "body_size": _body_size, "prefix": _S_U32.size,
+        }
+        exec(source, namespace)
+        self.size, self.encode = namespace["size"], namespace["encode"]
+
+    def size_for(self, counts: tuple) -> int:
+        """Bytes of the fixed part at these counts, without building it."""
+        return self.fixed + sum(map(mul, counts, self.units))
+
+    def shape(self, counts: tuple) -> tuple:
+        """``(Struct, picker)`` for the fixed part at these counts, cached.
+
+        The struct covers type, flags, scalars, counts, vectors and the
+        payload's length prefix.  The picker takes its values followed by
+        the ``after_wire`` values and returns the constructor's arguments.
+        """
+        shape = self.shapes.get(counts)
+        if shape is None:
+            if len(self.shapes) >= _SHAPE_CACHE:
+                self.shapes.clear()
+            sizes = dict(zip(self.counts_names, counts))
+            fmt = self.head_fmt
+            where: Dict[str, Any] = {}
+            for at, (name, _) in enumerate(self.lead, start=2):
+                where[name] = at
+            at = 2 + len(self.lead) + len(counts)
+            for name, f, count in self.vectors:
+                fmt += f * sizes[count]
+                where[name] = slice(at, at + len(f) * sizes[count])
+                at += len(f) * sizes[count]
+            for name, _ in self.trail:
+                where[name] = at
+                at += 1
+            at += self.tail_kind == "payload"  # the length prefix's value
+            for name in self.after_wire:
+                where[name] = at
+                at += 1
+            pick = itemgetter(*(where[name] for name in self.fields))
+            shape = struct.Struct(fmt + self.trail_fmt), pick
+            self.shapes[counts] = shape
+        return shape
+
+
+_LAYOUTS = (
+    _Layout(0x01, DataPdu,
+            "cid:I src:H seq:I n:# ack:I*n buf:I data:payload", flags=_NULL),
+    _Layout(0x02, RetPdu, "cid:I src:H lsrc:H lseq:I n:# ack:I*n buf:I"),
+    _Layout(0x03, HeartbeatPdu,
+            "cid:I src:H n:# ack:I*n pack:I*n buf:I view:I",
+            flags=_bit("probe")),
+    _Layout(0x04, ViewChangePdu,
+            "cid:I src:H view:I m:# n:# f:# members:H*m ack:I*n flush:I*f "
+            "buf:I", flags=_PHASE),
+    _Layout(0x05, JoinPdu, "cid:I src:H buf:I", flags=_bit("ready")),
+    _Layout(0x06, StatePdu,
+            "cid:I src:H joiner:H view:I m:# n:# members:H*m ack:I*n "
+            "pack:I*n buf:I"),
+    _Layout(0x07, BatchPdu,
+            "cid:I src:H n:# count:# ack:I*n pack:I*n buf:I pdus:body*count",
+            carries=(DataPdu,)),
+    _Layout(0x08, DigestPdu,
+            "cid:I src:H target:H view:I n:# ack:I*n delivered:I*n buf:I"),
+    _Layout(0x09, RepairPullPdu,
+            "cid:I src:H target:H n:# r:# ack:I*n ranges:HII*r buf:I"),
+    _Layout(0x0A, RelayPdu,
+            "cid:I src:H h:# n:# path:H*h min_ack:I*n min_pack:I*n buf:I "
+            "frame:body", carries=(DataPdu, BatchPdu)),
+    _Layout(0x0B, InterGroupPdu,
+            "cid:I origin_group:H sender_group:H src:H seq:I gseq:I g:# "
+            "barrier:I*g buf:I data:payload", flags=_INTERGROUP),
+)
+_BY_TYPE = {layout.cls: layout for layout in _LAYOUTS}
+_BY_KIND = {layout.kind: layout for layout in _LAYOUTS}
+_BATCH = _BY_TYPE[BatchPdu]
+_DATA = _BY_TYPE[DataPdu]
 
 
 # ----------------------------------------------------------------------
@@ -374,169 +483,6 @@ def encode_pdu_into(pdu: AnyPdu, buf: bytearray, offset: int = 0) -> int:
     return body_end + _CRC_BYTES
 
 
-def _encode_body_into(pdu: AnyPdu, buf: bytearray, offset: int) -> int:
-    if isinstance(pdu, DataPdu):
-        payload = _payload_bytes(pdu.data)
-        n = len(pdu.ack)
-        _S_DATA.pack_into(
-            buf, offset, _TYPE_DATA, _FLAG_NULL if pdu.is_null else 0,
-            pdu.cid, pdu.src, pdu.seq, n,
-        )
-        offset += _S_DATA.size
-        _vec(n).pack_into(buf, offset, *pdu.ack)
-        offset += 4 * n
-        _S_DATA_TAIL.pack_into(buf, offset, pdu.buf, len(payload))
-        offset += _S_DATA_TAIL.size
-        buf[offset:offset + len(payload)] = payload
-        return offset + len(payload)
-    if isinstance(pdu, RetPdu):
-        n = len(pdu.ack)
-        _S_RET.pack_into(
-            buf, offset, _TYPE_RET, 0, pdu.cid, pdu.src, pdu.lsrc, pdu.lseq, n,
-        )
-        offset += _S_RET.size
-        _vec(n).pack_into(buf, offset, *pdu.ack)
-        offset += 4 * n
-        _S_U32.pack_into(buf, offset, pdu.buf)
-        return offset + 4
-    if isinstance(pdu, HeartbeatPdu):
-        n = len(pdu.ack)
-        _S_HEARTBEAT.pack_into(
-            buf, offset, _TYPE_HEARTBEAT, _FLAG_PROBE if pdu.probe else 0,
-            pdu.cid, pdu.src, n,
-        )
-        offset += _S_HEARTBEAT.size
-        _vec(n).pack_into(buf, offset, *pdu.ack)
-        offset += 4 * n
-        _vec(n).pack_into(buf, offset, *pdu.pack)
-        offset += 4 * n
-        _S_DATA_TAIL.pack_into(buf, offset, pdu.buf, pdu.view)
-        return offset + _S_DATA_TAIL.size
-    if isinstance(pdu, ViewChangePdu):
-        m, n, f = len(pdu.members), len(pdu.ack), len(pdu.flush)
-        _S_VIEWCHANGE.pack_into(
-            buf, offset, _TYPE_VIEWCHANGE, _PHASE_CODES[pdu.phase], pdu.cid,
-            pdu.src, pdu.view, m, n, f,
-        )
-        offset += _S_VIEWCHANGE.size
-        _mem(m).pack_into(buf, offset, *pdu.members)
-        offset += 2 * m
-        _vec(n).pack_into(buf, offset, *pdu.ack)
-        offset += 4 * n
-        _vec(f).pack_into(buf, offset, *pdu.flush)
-        offset += 4 * f
-        _S_U32.pack_into(buf, offset, pdu.buf)
-        return offset + 4
-    if isinstance(pdu, JoinPdu):
-        _S_JOIN.pack_into(
-            buf, offset, _TYPE_JOIN, _FLAG_READY if pdu.ready else 0,
-            pdu.cid, pdu.src, pdu.buf,
-        )
-        return offset + _S_JOIN.size
-    if isinstance(pdu, StatePdu):
-        m, n = len(pdu.members), len(pdu.ack)
-        _S_STATE.pack_into(
-            buf, offset, _TYPE_STATE, 0, pdu.cid, pdu.src, pdu.joiner,
-            pdu.view, m, n,
-        )
-        offset += _S_STATE.size
-        _mem(m).pack_into(buf, offset, *pdu.members)
-        offset += 2 * m
-        _vec(n).pack_into(buf, offset, *pdu.ack)
-        offset += 4 * n
-        _vec(n).pack_into(buf, offset, *pdu.pack)
-        offset += 4 * n
-        _S_U32.pack_into(buf, offset, pdu.buf)
-        return offset + 4
-    if isinstance(pdu, DigestPdu):
-        n = len(pdu.ack)
-        _S_DIGEST.pack_into(
-            buf, offset, _TYPE_DIGEST, 0, pdu.cid, pdu.src, pdu.target,
-            pdu.view, n,
-        )
-        offset += _S_DIGEST.size
-        _vec(n).pack_into(buf, offset, *pdu.ack)
-        offset += 4 * n
-        _vec(n).pack_into(buf, offset, *pdu.delivered)
-        offset += 4 * n
-        _S_U32.pack_into(buf, offset, pdu.buf)
-        return offset + 4
-    if isinstance(pdu, RepairPullPdu):
-        n, r = len(pdu.ack), len(pdu.ranges)
-        _S_REPAIR_PULL.pack_into(
-            buf, offset, _TYPE_REPAIR_PULL, 0, pdu.cid, pdu.src, pdu.target,
-            n, r,
-        )
-        offset += _S_REPAIR_PULL.size
-        _vec(n).pack_into(buf, offset, *pdu.ack)
-        offset += 4 * n
-        for lsrc, lo, hi in pdu.ranges:
-            _S_RANGE.pack_into(buf, offset, lsrc, lo, hi)
-            offset += _S_RANGE.size
-        _S_U32.pack_into(buf, offset, pdu.buf)
-        return offset + 4
-    if isinstance(pdu, RelayPdu):
-        h, n = len(pdu.path), len(pdu.min_ack)
-        _S_RELAY.pack_into(
-            buf, offset, _TYPE_RELAY, 0, pdu.cid, pdu.src, h, n,
-        )
-        offset += _S_RELAY.size
-        _mem(h).pack_into(buf, offset, *pdu.path)
-        offset += 2 * h
-        _vec(n).pack_into(buf, offset, *pdu.min_ack)
-        offset += 4 * n
-        _vec(n).pack_into(buf, offset, *pdu.min_pack)
-        offset += 4 * n
-        _S_U32.pack_into(buf, offset, pdu.buf)
-        offset += 4
-        # u32 length prefix, then the inner frame's body, as in batches.
-        length_at = offset
-        offset += 4
-        body_end = _encode_body_into(pdu.frame, buf, offset)
-        _S_U32.pack_into(buf, length_at, body_end - offset)
-        return body_end
-    if isinstance(pdu, BatchPdu):
-        n = len(pdu.ack)
-        _S_BATCH.pack_into(
-            buf, offset, _TYPE_BATCH, 0, pdu.cid, pdu.src, n, len(pdu.pdus),
-        )
-        offset += _S_BATCH.size
-        _vec(n).pack_into(buf, offset, *pdu.ack)
-        offset += 4 * n
-        _vec(n).pack_into(buf, offset, *pdu.pack)
-        offset += 4 * n
-        _S_U32.pack_into(buf, offset, pdu.buf)
-        offset += 4
-        for p in pdu.pdus:
-            # Reserve the u32 length prefix, encode the body in place, then
-            # backpatch the prefix with the measured body length.
-            length_at = offset
-            offset += 4
-            body_end = _encode_body_into(p, buf, offset)
-            _S_U32.pack_into(buf, length_at, body_end - offset)
-            offset = body_end
-        return offset
-    if isinstance(pdu, InterGroupPdu):
-        payload = _payload_bytes(pdu.data)
-        g = len(pdu.barrier)
-        flags = _FLAG_IG_ACK if pdu.ack else 0
-        if pdu.data is None and not pdu.ack:
-            flags |= _FLAG_IG_NULL
-        _S_INTERGROUP.pack_into(
-            buf, offset, _TYPE_INTERGROUP, flags,
-            pdu.cid, pdu.origin_group, pdu.sender_group,
-            pdu.src, pdu.seq, pdu.gseq, g,
-        )
-        offset += _S_INTERGROUP.size
-        _vec(g).pack_into(buf, offset, *pdu.barrier)
-        offset += 4 * g
-        _S_DATA_TAIL.pack_into(buf, offset, pdu.buf, len(payload))
-        offset += _S_DATA_TAIL.size
-        buf[offset:offset + len(payload)] = payload
-        return offset + len(payload)
-    raise CodecError(f"cannot encode {type(pdu).__name__}")
-
-
 # ----------------------------------------------------------------------
 # Decoding
 # ----------------------------------------------------------------------
@@ -598,7 +544,7 @@ def _checked_len(data: Buffer) -> int:
     return body_len
 
 
-def _decode(data: Buffer, end: int) -> AnyPdu:
+def _decode(data: Buffer, end: int, carries: Optional[tuple] = None) -> AnyPdu:
     """Parse one PDU body from ``data[:end]``.
 
     ``data`` is the *original* input buffer (the CRC trailer is excluded
@@ -606,221 +552,52 @@ def _decode(data: Buffer, end: int) -> AnyPdu:
     checked against ``end`` explicitly, so a malformed count field raises
     instead of silently consuming checksum bytes.  Slices — inner batch
     bodies, payloads — are cheap copies for ``bytes`` input and zero-copy
-    views for ``memoryview`` input.
+    views for ``memoryview`` input.  A nested body names its type before
+    it is parsed, so ``carries`` bounds the nesting depth.
     """
     if end <= 0:
         raise CodecError("empty buffer")
-    kind = data[0]
-    if kind == _TYPE_DATA:
-        if _S_DATA.size > end:
-            raise CodecError("truncated data PDU header")
-        _, flags, cid, src, seq, n = _S_DATA.unpack_from(data, 0)
-        offset = _S_DATA.size + 4 * n
-        if offset + _S_DATA_TAIL.size > end:
-            raise CodecError("truncated data PDU")
-        ack = _vec(n).unpack_from(data, _S_DATA.size)
-        buf, payload_len = _S_DATA_TAIL.unpack_from(data, offset)
-        offset += _S_DATA_TAIL.size
-        if offset + payload_len > end:
+    layout = _BY_KIND.get(data[0])
+    if layout is None:
+        raise CodecError(f"unknown PDU type byte 0x{data[0]:02x}")
+    if carries is not None and layout.cls not in carries:
+        raise CodecError(f"a {layout.name} cannot be nested here")
+    if layout.head_size > end:
+        raise CodecError(f"truncated {layout.name} header")
+    counts = layout.counts.unpack_from(data, layout.count_at)
+    shape = layout.shapes.get(counts)
+    if (shape[0].size if shape else layout.size_for(counts)) > end:
+        raise CodecError(f"truncated {layout.name}")
+    fixed, pick = shape or layout.shape(counts)
+    values = fixed.unpack_from(data, 0)
+    offset = fixed.size
+    tail: tuple = ()
+    if layout.tail_kind == "payload":
+        length = values[-1]
+        if offset + length > end:
             raise CodecError("payload shorter than its declared length")
-        is_null = bool(flags & _FLAG_NULL)
-        return DataPdu(
-            cid=cid, src=src, seq=seq, ack=ack, buf=buf,
-            data=None if is_null else bytes(data[offset:offset + payload_len]),
-            data_size=payload_len,
-        )
-    if kind == _TYPE_RET:
-        if _S_RET.size > end:
-            raise CodecError("truncated RET PDU header")
-        _, _, cid, src, lsrc, lseq, n = _S_RET.unpack_from(data, 0)
-        offset = _S_RET.size + 4 * n
-        if offset + 4 > end:
-            raise CodecError("truncated RET PDU")
-        ack = _vec(n).unpack_from(data, _S_RET.size)
-        (buf,) = _S_U32.unpack_from(data, offset)
-        return RetPdu(cid=cid, src=src, lsrc=lsrc, lseq=lseq, ack=ack, buf=buf)
-    if kind == _TYPE_HEARTBEAT:
-        if _S_HEARTBEAT.size > end:
-            raise CodecError("truncated heartbeat header")
-        _, flags, cid, src, n = _S_HEARTBEAT.unpack_from(data, 0)
-        offset = _S_HEARTBEAT.size
-        if offset + 8 * n + _S_DATA_TAIL.size > end:
-            raise CodecError("truncated heartbeat")
-        ack = _vec(n).unpack_from(data, offset)
-        offset += 4 * n
-        pack = _vec(n).unpack_from(data, offset)
-        offset += 4 * n
-        buf, view = _S_DATA_TAIL.unpack_from(data, offset)
-        return HeartbeatPdu(
-            cid=cid, src=src, ack=ack, pack=pack, buf=buf,
-            probe=bool(flags & _FLAG_PROBE), view=view,
-        )
-    if kind == _TYPE_VIEWCHANGE:
-        if _S_VIEWCHANGE.size > end:
-            raise CodecError("truncated view-change header")
-        _, phase_code, cid, src, view, m, n, f = _S_VIEWCHANGE.unpack_from(
-            data, 0,
-        )
-        phase = _PHASE_NAMES.get(phase_code)
-        if phase is None:
-            raise CodecError(f"unknown view-change phase code {phase_code}")
-        offset = _S_VIEWCHANGE.size
-        if offset + 2 * m + 4 * n + 4 * f + 4 > end:
-            raise CodecError("truncated view-change PDU")
-        members = _mem(m).unpack_from(data, offset)
-        offset += 2 * m
-        ack = _vec(n).unpack_from(data, offset)
-        offset += 4 * n
-        flush = _vec(f).unpack_from(data, offset)
-        offset += 4 * f
-        (buf,) = _S_U32.unpack_from(data, offset)
-        return ViewChangePdu(
-            cid=cid, src=src, view=view, phase=phase, members=members,
-            ack=ack, buf=buf, flush=flush,
-        )
-    if kind == _TYPE_JOIN:
-        if _S_JOIN.size > end:
-            raise CodecError("truncated join PDU")
-        _, flags, cid, src, buf = _S_JOIN.unpack_from(data, 0)
-        return JoinPdu(cid=cid, src=src, buf=buf, ready=bool(flags & _FLAG_READY))
-    if kind == _TYPE_STATE:
-        if _S_STATE.size > end:
-            raise CodecError("truncated state header")
-        _, _, cid, src, joiner, view, m, n = _S_STATE.unpack_from(data, 0)
-        offset = _S_STATE.size
-        if offset + 2 * m + 8 * n + 4 > end:
-            raise CodecError("truncated state PDU")
-        members = _mem(m).unpack_from(data, offset)
-        offset += 2 * m
-        ack = _vec(n).unpack_from(data, offset)
-        offset += 4 * n
-        pack = _vec(n).unpack_from(data, offset)
-        offset += 4 * n
-        (buf,) = _S_U32.unpack_from(data, offset)
-        return StatePdu(
-            cid=cid, src=src, joiner=joiner, view=view, members=members,
-            ack=ack, pack=pack, buf=buf,
-        )
-    if kind == _TYPE_DIGEST:
-        if _S_DIGEST.size > end:
-            raise CodecError("truncated digest header")
-        _, _, cid, src, target, view, n = _S_DIGEST.unpack_from(data, 0)
-        offset = _S_DIGEST.size
-        if offset + 8 * n + 4 > end:
-            raise CodecError("truncated digest PDU")
-        ack = _vec(n).unpack_from(data, offset)
-        offset += 4 * n
-        delivered = _vec(n).unpack_from(data, offset)
-        offset += 4 * n
-        (buf,) = _S_U32.unpack_from(data, offset)
-        return DigestPdu(
-            cid=cid, src=src, target=target, view=view,
-            ack=ack, delivered=delivered, buf=buf,
-        )
-    if kind == _TYPE_REPAIR_PULL:
-        if _S_REPAIR_PULL.size > end:
-            raise CodecError("truncated repair-pull header")
-        _, _, cid, src, target, n, r = _S_REPAIR_PULL.unpack_from(data, 0)
-        offset = _S_REPAIR_PULL.size
-        if offset + 4 * n + _S_RANGE.size * r + 4 > end:
-            raise CodecError("truncated repair-pull PDU")
-        ack = _vec(n).unpack_from(data, offset)
-        offset += 4 * n
-        ranges = []
-        for _ in range(r):
-            ranges.append(_S_RANGE.unpack_from(data, offset))
-            offset += _S_RANGE.size
-        (buf,) = _S_U32.unpack_from(data, offset)
-        return RepairPullPdu(
-            cid=cid, src=src, target=target, ranges=tuple(ranges),
-            ack=ack, buf=buf,
-        )
-    if kind == _TYPE_RELAY:
-        if _S_RELAY.size > end:
-            raise CodecError("truncated relay header")
-        _, _, cid, src, h, n = _S_RELAY.unpack_from(data, 0)
-        if h < 1:
-            raise CodecError("relay frame with an empty path")
-        offset = _S_RELAY.size
-        if offset + 2 * h + 8 * n + 8 > end:
-            raise CodecError("truncated relay PDU")
-        path = _mem(h).unpack_from(data, offset)
-        offset += 2 * h
-        min_ack = _vec(n).unpack_from(data, offset)
-        offset += 4 * n
-        min_pack = _vec(n).unpack_from(data, offset)
-        offset += 4 * n
-        (buf,) = _S_U32.unpack_from(data, offset)
-        offset += 4
-        (body_len,) = _S_U32.unpack_from(data, offset)
-        offset += 4
-        if offset + body_len > end:
-            raise CodecError("relayed frame shorter than its declared length")
-        frame = _decode(data[offset:offset + body_len], body_len)
-        if not isinstance(frame, (DataPdu, BatchPdu)):
-            raise CodecError(
-                "relay frames carry data or batch PDUs only, got "
-                f"{type(frame).__name__}"
+        tail = bytes(data[offset:offset + length]), length
+    elif layout.tail_kind == "body":
+        single = layout.tail_count is None
+        bodies = []
+        for _ in range(1 if single else counts[layout.tail_count]):
+            if offset + _S_U32.size > end:
+                raise CodecError("truncated nested body length")
+            (length,) = _S_U32.unpack_from(data, offset)
+            offset += _S_U32.size
+            if offset + length > end:
+                raise CodecError("nested body shorter than its declared length")
+            bodies.append(
+                _decode(data[offset:offset + length], length, layout.carries)
             )
-        return RelayPdu(
-            cid=cid, src=src, path=path, min_ack=min_ack, min_pack=min_pack,
-            buf=buf, frame=frame,
-        )
-    if kind == _TYPE_BATCH:
-        if _S_BATCH.size > end:
-            raise CodecError("truncated batch header")
-        _, _, cid, src, n, count = _S_BATCH.unpack_from(data, 0)
-        offset = _S_BATCH.size
-        if offset + 8 * n + 4 > end:
-            raise CodecError("truncated batch PDU")
-        ack = _vec(n).unpack_from(data, offset)
-        offset += 4 * n
-        pack = _vec(n).unpack_from(data, offset)
-        offset += 4 * n
-        (buf,) = _S_U32.unpack_from(data, offset)
-        offset += 4
-        pdus = []
-        for _ in range(count):
-            if offset + 4 > end:
-                raise CodecError("truncated inner PDU length")
-            (body_len,) = _S_U32.unpack_from(data, offset)
-            offset += 4
-            if offset + body_len > end:
-                raise CodecError("inner PDU shorter than its declared length")
-            inner = _decode(data[offset:offset + body_len], body_len)
-            offset += body_len
-            if not isinstance(inner, DataPdu):
-                raise CodecError(
-                    "batch frames carry data PDUs only, got "
-                    f"{type(inner).__name__}"
-                )
-            pdus.append(inner)
-        return BatchPdu(
-            cid=cid, src=src, ack=ack, pack=pack, buf=buf, pdus=tuple(pdus),
-        )
-    if kind == _TYPE_INTERGROUP:
-        if _S_INTERGROUP.size > end:
-            raise CodecError("truncated inter-group header")
-        (
-            _, flags, cid, origin_group, sender_group, src, seq, gseq, g,
-        ) = _S_INTERGROUP.unpack_from(data, 0)
-        offset = _S_INTERGROUP.size + 4 * g
-        if offset + _S_DATA_TAIL.size > end:
-            raise CodecError("truncated inter-group PDU")
-        barrier = _vec(g).unpack_from(data, _S_INTERGROUP.size)
-        buf, payload_len = _S_DATA_TAIL.unpack_from(data, offset)
-        offset += _S_DATA_TAIL.size
-        if offset + payload_len > end:
-            raise CodecError("payload shorter than its declared length")
-        is_ack = bool(flags & _FLAG_IG_ACK)
-        is_null = is_ack or bool(flags & _FLAG_IG_NULL)
-        return InterGroupPdu(
-            cid=cid, origin_group=origin_group, sender_group=sender_group,
-            src=src, seq=seq, gseq=gseq, barrier=barrier, buf=buf,
-            data=None if is_null else bytes(data[offset:offset + payload_len]),
-            data_size=payload_len, ack=is_ack,
-        )
-    raise CodecError(f"unknown PDU type byte 0x{kind:02x}")
+            offset += length
+        tail = (bodies[0] if single else tuple(bodies),)
+    args = pick(values + layout.unflag(values[1], tail))
+    if layout.grouped:
+        args = list(args)
+        for i, width in layout.grouped:
+            args[i] = tuple(zip(*[iter(args[i])] * width))
+    return layout.cls(*args)
 
 
 # ----------------------------------------------------------------------
@@ -846,13 +623,11 @@ def split_batch(pdu: BatchPdu, max_frame_bytes: int) -> "list[BatchPdu]":
         raise CodecError(f"max_frame_bytes must be positive, got {max_frame_bytes}")
     if not pdu.pdus or encoded_size(pdu) <= max_frame_bytes:
         return [pdu]
-    # Chunk header: batch head + two vectors + buf + frame CRC.
-    header_size = _S_BATCH.size + 8 * len(pdu.ack) + 4 + _CRC_BYTES
+    header_size = _BATCH.size_for((len(pdu.ack), 0)) + _CRC_BYTES
     groups: "list[list[DataPdu]]" = [[]]
     size = header_size
     for p in pdu.pdus:
-        # u32 length prefix + body (bodies carry no per-PDU CRC).
-        cost = 4 + _body_size(p)
+        cost = _S_U32.size + _body_size(p)
         if groups[-1] and size + cost > max_frame_bytes:
             groups.append([])
             size = header_size
@@ -877,58 +652,13 @@ def datagram_pdu_count(data: Buffer) -> int:
     than its bytes could fill.  Everything else (other types, an empty
     batch, bytes too short to tell) counts as one.
     """
-    if len(data) < _S_BATCH.size or data[0] != _TYPE_BATCH:
+    if len(data) < _BATCH.head_size or data[0] != _BATCH.kind:
         return 1
-    _, _, _, _, n, count = _S_BATCH.unpack_from(data, 0)
-    room = len(data) - (_S_BATCH.size + 8 * n + 4 + _CRC_BYTES)
+    n, count = _BATCH.counts.unpack_from(data, _BATCH.count_at)
+    room = len(data) - (_BATCH.size_for((n, count)) + _CRC_BYTES)
     # One inner PDU: u32 length prefix + a data body with an empty payload.
-    inner = 4 + _S_DATA.size + 4 * n + _S_DATA_TAIL.size
+    inner = _S_U32.size + _DATA.size_for((n,))
     return max(1, min(count, room // inner))
-
-
-def _body_size(pdu: AnyPdu) -> int:
-    """Exact body length (no CRC trailer), computed arithmetically."""
-    if isinstance(pdu, DataPdu):
-        return (
-            _S_DATA.size + 4 * len(pdu.ack) + _S_DATA_TAIL.size
-            + len(_payload_bytes(pdu.data))
-        )
-    if isinstance(pdu, RetPdu):
-        return _S_RET.size + 4 * len(pdu.ack) + 4
-    if isinstance(pdu, HeartbeatPdu):
-        return _S_HEARTBEAT.size + 8 * len(pdu.ack) + _S_DATA_TAIL.size
-    if isinstance(pdu, ViewChangePdu):
-        return (
-            _S_VIEWCHANGE.size + 2 * len(pdu.members)
-            + 4 * len(pdu.ack) + 4 * len(pdu.flush) + 4
-        )
-    if isinstance(pdu, JoinPdu):
-        return _S_JOIN.size
-    if isinstance(pdu, StatePdu):
-        return _S_STATE.size + 2 * len(pdu.members) + 8 * len(pdu.ack) + 4
-    if isinstance(pdu, BatchPdu):
-        return (
-            _S_BATCH.size + 8 * len(pdu.ack) + 4
-            + sum(4 + _body_size(p) for p in pdu.pdus)
-        )
-    if isinstance(pdu, DigestPdu):
-        return _S_DIGEST.size + 8 * len(pdu.ack) + 4
-    if isinstance(pdu, RepairPullPdu):
-        return (
-            _S_REPAIR_PULL.size + 4 * len(pdu.ack)
-            + _S_RANGE.size * len(pdu.ranges) + 4
-        )
-    if isinstance(pdu, RelayPdu):
-        return (
-            _S_RELAY.size + 2 * len(pdu.path) + 8 * len(pdu.min_ack)
-            + 4 + 4 + _body_size(pdu.frame)
-        )
-    if isinstance(pdu, InterGroupPdu):
-        return (
-            _S_INTERGROUP.size + 4 * len(pdu.barrier) + _S_DATA_TAIL.size
-            + len(_payload_bytes(pdu.data))
-        )
-    raise CodecError(f"cannot encode {type(pdu).__name__}")
 
 
 def encoded_size(pdu: AnyPdu) -> int:

@@ -1637,7 +1637,7 @@ class COEntity:
 
         Beyond the paper's PACK condition (``p.seq < minAL_{p.src}``), a PDU
         only moves once **every causal predecessor it names has moved**
-        (:meth:`_deps_preacked`).  The paper's Proposition 4.3 derives this
+        (:meth:`_first_unmet_dep`).  The paper's Proposition 4.3 derives this
         ordering from Lemma 4.2's ACK monotonicity, but the paper itself
         notes (after Lemma 4.2, Fig. 6 discussion) that a *lost* PDU breaks
         that monotonicity: an entity accepts ``q`` whose ACK vector names a
@@ -1646,7 +1646,10 @@ class COEntity:
         cluster-wide while ``p`` is still being retransmitted — after which
         ``q`` would be acknowledged and *delivered before* ``p``.  Gating on
         the predecessor floor restores Proposition 4.3 deterministically
-        (see DESIGN.md, "correctness completion").
+        (see DESIGN.md, "correctness completion").  Without loss the gate
+        still bites when ``q`` and a predecessor it names pass PACK in one
+        pass and the pass reaches ``q`` first: ``PRL`` is a FIFO, so holding
+        ``q`` back one step is CPI's insertion of ``p`` ahead of it.
 
         The scan is **event-driven** rather than a fixpoint over all ``n``
         sublogs: it drains the dirty-source worklist (``_pack_dirty``),

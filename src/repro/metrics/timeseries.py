@@ -8,6 +8,7 @@ trace events over simulated time so experiments can look at behaviour
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -40,18 +41,26 @@ def _bucketize(
     samples: List[Tuple[float, float]],
     bucket: float,
     combine: str,
+    start: Optional[float] = None,
 ) -> Series:
     if bucket <= 0:
         raise ValueError(f"bucket must be positive, got {bucket}")
     if not samples:
         return Series(bucket=bucket, start=0.0, values=())
-    start = 0.0
+    # The series starts at ``start`` (series shown side by side share one)
+    # or else at the bucket that holds the first sample, on the grid of
+    # whole buckets.  Anchoring at t = 0 would cost one slot per bucket of
+    # clock before it: a UDP recording's times count the host's uptime
+    # (loop.time()), tens of millions of empty slots.
+    first = min(t for t, _ in samples)
+    if start is None or start > first:
+        start = math.floor(first / bucket) * bucket
     end = max(t for t, _ in samples)
-    slots = int(end / bucket) + 1
+    slots = int((end - start) / bucket) + 1
     sums = [0.0] * slots
     counts = [0] * slots
     for t, value in samples:
-        index = min(int(t / bucket), slots - 1)
+        index = min(int((t - start) / bucket), slots - 1)
         sums[index] += value
         counts[index] += 1
     if combine == "count":
@@ -70,13 +79,14 @@ def event_rate_series(
     category: str,
     bucket: float,
     entity: Optional[int] = None,
+    start: Optional[float] = None,
 ) -> Series:
     """Events of ``category`` per bucket (e.g. deliveries, drops, RETs)."""
     samples = [
         (rec.time, 1.0)
         for rec in trace.select(category=category, entity=entity)
     ]
-    return _bucketize(samples, bucket, combine="count")
+    return _bucketize(samples, bucket, combine="count", start=start)
 
 
 def delivery_latency_series(trace: TraceLog, bucket: float) -> Series:
@@ -96,6 +106,7 @@ def gauge_series(
     key: str,
     bucket: float,
     entity: Optional[int] = None,
+    start: Optional[float] = None,
 ) -> Series:
     """Mean value of one host-sampled gauge per bucket.
 
@@ -113,7 +124,7 @@ def gauge_series(
         if value is not None and float(value) >= 0.0
     ]
     samples = [(t, float(v)) for t, v in samples]
-    return _bucketize(samples, bucket, combine="mean")
+    return _bucketize(samples, bucket, combine="mean", start=start)
 
 
 def gauge_entities(trace: TraceLog) -> List[int]:

@@ -1,5 +1,7 @@
 """Property-based round-trip tests for the wire codec."""
 
+import zlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -308,3 +310,22 @@ def test_decode_pdu_safe_counts_corrupt_frames(pdu):
     # An intact frame decodes and leaves the counter alone.
     assert decode_pdu_safe(encode_pdu(pdu), counters) == pdu
     assert counters["codec_corrupt_frames"] == 1
+
+
+def test_relays_nested_past_the_recursion_limit_are_one_rejected_frame():
+    # A relay carries a data or batch body only.  A datagram of relays
+    # wrapped around relays (44 KB here, within one UDP datagram) must be
+    # refused at the second nested type byte, not recurse until Python's
+    # recursion limit raises out of decode_pdu_safe.
+    data = DataPdu(cid=7, src=0, seq=1, ack=(1,), buf=0, data=b"")
+    relay = RelayPdu(cid=7, src=0, path=(0,), min_ack=(), min_pack=(),
+                     buf=0, frame=data)
+    inner = encode_pdu(data)[:-4]
+    body = encode_pdu(relay)[:-4]
+    head = body[:len(body) - len(inner) - 4]
+    for _ in range(2000):
+        body = head + len(body).to_bytes(4, "big") + body
+    counters = {}
+    assert decode_pdu_safe(body + zlib.crc32(body).to_bytes(4, "big"),
+                           counters) is None
+    assert counters == {"codec_corrupt_frames": 1}

@@ -8,6 +8,7 @@ from repro.core.cluster import build_cluster
 from repro.harness.comparison import compare_protocols
 from repro.harness.runner import ExperimentConfig
 from repro.metrics.timeseries import (
+    _bucketize,
     delivery_latency_series,
     event_rate_series,
     resident_series,
@@ -145,6 +146,24 @@ class TestTimeseries:
         times = series.times()
         assert times[0] == 0.0
         assert times[1] - times[0] == pytest.approx(5e-3)
+
+    @pytest.mark.parametrize("combine", ["count", "mean"])
+    def test_a_series_starts_at_its_first_sample(self, combine):
+        # UDP records carry loop.time(), seconds of host uptime: the same
+        # samples 1e5 s later make the same series, not 4e5 more slots.
+        samples = [(0.0, 1.0), (0.3, 2.0), (0.35, 4.0), (1.1, 8.0)]
+        at_zero = _bucketize(samples, 0.25, combine)
+        later = _bucketize([(t + 1e5, v) for t, v in samples], 0.25, combine)
+        assert later.values == at_zero.values
+        assert len(at_zero.values) == 5
+        assert (at_zero.start, later.start) == (0.0, 1e5)
+
+    def test_series_shown_together_share_a_start(self):
+        # repro inspect passes the recording's first record time, so a
+        # category whose first event is late keeps its leading buckets.
+        late = _bucketize([(0.6, 1.0), (0.7, 1.0)], 0.25, "count", start=0.0)
+        assert late.start == 0.0
+        assert late.values == (0.0, 0.0, 2.0)
 
     def test_empty_trace(self):
         series = event_rate_series(TraceLog(), "deliver", bucket=1e-3)
